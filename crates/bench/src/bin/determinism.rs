@@ -5,11 +5,9 @@
 //! free and once under the seeded Poisson crash schedule — at whatever
 //! fan-out width `SP_THREADS` selects — plus the shape-stable-window
 //! scenario (KV-bound chunked-prefill fleet, the `steadyshape` simperf
-//! regime) — and serializes every observable
-//! surface of the reports to the file named by the first argument:
-//! routing decisions, completion records, terminal failures, rejects,
-//! the fleet timeline (replica events and request-fault events), and
-//! the iteration count.
+//! regime) — and writes each report's canonical serialization
+//! ([`EngineReport::canonical`], every observable surface) to the file
+//! named by the first argument.
 //!
 //! ```text
 //! SP_THREADS=1 cargo run --release -p sp-bench --bin determinism -- /tmp/t1.txt
@@ -133,19 +131,11 @@ fn run_steadyshape() -> EngineReport {
     sim.run(&trace)
 }
 
-/// Every observable surface of a report, in a stable text form. Uses
-/// `Debug` formatting throughout: the point is byte-stability across
-/// thread counts within one build, not a versioned schema.
-fn serialize(label: &str, report: &EngineReport, out: &mut String) {
-    writeln!(out, "== {label} ==").unwrap();
-    writeln!(out, "iterations: {}", report.iterations()).unwrap();
-    writeln!(out, "decisions: {:?}", report.routing_decisions()).unwrap();
-    writeln!(out, "records: {:?}", report.records()).unwrap();
-    writeln!(out, "failed: {:?}", report.failed()).unwrap();
-    writeln!(out, "rejected: {:?}", report.rejected()).unwrap();
-    let tl = report.fleet_timeline();
-    writeln!(out, "timeline: {:?}", tl.events()).unwrap();
-    writeln!(out, "request_faults: {:?}", tl.request_faults()).unwrap();
+/// Appends one labelled report in its canonical form and prints its
+/// digest.
+fn write_report(label: &str, report: &EngineReport, out: &mut String) {
+    writeln!(out, "== {label} ==\n{}", report.canonical()).unwrap();
+    println!("{label}: digest {:016x}", report.digest());
 }
 
 fn main() {
@@ -155,15 +145,15 @@ fn main() {
     let slo = ClassSlo::default();
 
     let mut out = String::new();
-    serialize("no-fault", &run_with(FaultPlan::empty(), &trace, slo), &mut out);
+    write_report("no-fault", &run_with(FaultPlan::empty(), &trace, slo), &mut out);
     let plan = FaultPlan::crashes_poisson(
         CRASH_SEED,
         Dur::from_secs(120.0),
         Dur::from_secs(HORIZON_SECS),
         PEAK_REPLICAS,
     );
-    serialize("poisson-crashes", &run_with(plan, &trace, slo), &mut out);
-    serialize("steadyshape", &run_steadyshape(), &mut out);
+    write_report("poisson-crashes", &run_with(plan, &trace, slo), &mut out);
+    write_report("steadyshape", &run_steadyshape(), &mut out);
 
     std::fs::write(&path, &out).expect("write determinism output");
     println!("determinism: ran at {threads} thread(s), {} bytes -> {path}", out.len());

@@ -43,7 +43,8 @@ fn describe(name: &str, trace: &Trace) {
 /// How much routing policy matters on a bursty trace: p99 TTFT and
 /// per-class SLO attainment across a 2-node fleet for each online policy
 /// (the deadline-aware one also enables class-SLO scheduling inside each
-/// node), plus the offline static split the online router replaced.
+/// node). The `static-split` row is the offline greedy split the online
+/// routers replaced, replayed at arrival instants.
 fn routing_comparison(trace: &Trace) {
     let slo = ClassSlo::default();
     let make_fleet = |class_aware: bool| {
@@ -60,7 +61,7 @@ fn routing_comparison(trace: &Trace) {
     };
 
     let mut rows = Vec::new();
-    let mut push_row = |label: String, mut report: sp_engine::EngineReport, online: bool| {
+    let mut push_row = |label: String, mut report: sp_engine::EngineReport| {
         let to_node0 = report.routing_decisions().iter().filter(|d| d.replica == 0).count();
         let total = report.routing_decisions().len().max(1);
         let class = report.class_slo_report(&slo);
@@ -71,18 +72,14 @@ fn routing_comparison(trace: &Trace) {
             format!("{:.0}", m.ttft().p99().unwrap_or(0.0) * 1e3),
             format!("{:.0}%", class.interactive.attainment() * 100.0),
             format!("{:.0}%", class.batch.attainment() * 100.0),
-            if online {
-                format!("{:.1}%", 100.0 * to_node0 as f64 / total as f64)
-            } else {
-                "-".to_string()
-            },
+            format!("{:.1}%", 100.0 * to_node0 as f64 / total as f64),
         ]);
     };
     for kind in
         [RoutingKind::JoinShortestOutstanding, RoutingKind::RoundRobin, RoutingKind::StaticSplit]
     {
         let report = make_fleet(false).routing(kind).run(trace);
-        push_row(kind.policy().name().to_string(), report, true);
+        push_row(kind.policy().name().to_string(), report);
     }
     let aware = make_fleet(true).routing(RoutingKind::EarliestDeadlineFeasible(slo)).run(trace);
     let activity = format!(
@@ -90,9 +87,7 @@ fn routing_comparison(trace: &Trace) {
         aware.batch_sheds(),
         aware.batch_deferrals()
     );
-    push_row(activity, aware, true);
-    let offline = make_fleet(false).run_offline(trace);
-    push_row("offline-static (baseline)".to_string(), offline, false);
+    push_row(activity, aware);
     print_table(
         "Online routing policies, 2-node Shift fleet on the bursty trace",
         &["router", "TTFT p50(ms)", "TTFT p99(ms)", "Int SLO", "Batch SLO", "to node 0"],

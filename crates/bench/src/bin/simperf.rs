@@ -2,9 +2,10 @@
 //!
 //! Measures wall-clock scheduling events per second and peak RSS of the
 //! event-calendar cluster loop ([`ClusterSim`]) on bursty traces at 1, 4,
-//! 16, and 64 replicas, plus the calendar's speedup over the
-//! pre-calendar linear-rescan loop (`ReferenceClusterSim`, kept as an
-//! executable specification). Results land in `BENCH_simperf.json`.
+//! 16, and 64 replicas, plus the fast paths' speedup over the executable
+//! specification (`ClusterSim::set_spec` over `Engine::set_spec`
+//! engines: the linear-rescan per-event loop with linear admission
+//! scans and direct pricing). Results land in `BENCH_simperf.json`.
 //!
 //! ```text
 //! cargo run --release -p sp-bench --bin simperf [-- --smoke] [-- --baseline ci/simperf_baseline.json]
@@ -18,13 +19,11 @@
 //!   baseline JSON and exit non-zero on a >30% regression in any
 //!   scenario present in both runs.
 //!
-//! Besides the calendar sweep and the calendar-vs-reference headline
-//! pair, the bench measures `pricing_evals_per_sec`: a multi-config
-//! `ShiftPolicy` cluster on 8-GPU nodes priced through compiled
-//! [`ExecPlan`]s plus the engine's decode-shape memo, against the same
-//! cluster forced onto the direct `try_iteration` fold
-//! (`Engine::set_direct_pricing`). Both runs share the calendar
-//! scheduler, so the ratio isolates the pricing layer.
+//! Besides the calendar sweep and the calendar-vs-spec headline pair,
+//! the bench measures `pricing_evals_per_sec`: every candidate shift
+//! layout priced through compiled [`ExecPlan`]s in one `price_all` pass,
+//! against the direct per-config `try_iteration` fold over the same
+//! batch stream, so the ratio isolates the pricing layer.
 //!
 //! The replica sweep fans out across cores via
 //! [`sp_bench::harness::parallel_sweep`]; the headline and pricing
@@ -41,24 +40,27 @@
 //!
 //! The `fastforward_r64` pair measures the decode fast-forward path:
 //! the decode-heavy 64-replica shift cluster with steady-state
-//! macro-stepping live versus the same fleet forced onto the
-//! per-iteration loop (`Engine::set_fast_forward(false)`). Reports are
-//! byte-identical across the pair (pinned by the fast-forward property
-//! suite); event counts are asserted equal here, and in smoke mode the
-//! measured speedup is hard-gated at >=3x.
+//! macro-stepping live versus the same fleet of spec engines
+//! (`Engine::set_spec(true)`), which walk every iteration through the
+//! per-iteration scheduler. Reports are byte-identical across the pair
+//! (pinned by the fast-forward property suite); event counts are
+//! asserted equal here, and in smoke mode the measured speedup is
+//! hard-gated at >=3x. Because the spec twin also prices directly, the
+//! ratio alone cannot prove that macro-stepping engages; the
+//! deterministic engagement test in `tests/fastforward.rs` does.
 //!
 //! The `steadyshape_r64` pair measures the generalized shape-stable
 //! fast-forward — mixed prefill+decode windows plus the KV-blocked
 //! admission gate — on a KV-bound trace whose prefills chunk across
-//! several iterations, against the same fleet forced per-iteration. In
-//! smoke mode the measured speedup is hard-gated at >=2x.
+//! several iterations, against the same fleet of spec engines. In smoke
+//! mode the measured speedup is hard-gated at >=2x.
 
 use shift_core::ShiftPolicy;
 use sp_bench::harness::parallel_sweep;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_engine::{
     AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, FaultPlan, LoadBandPolicy,
-    ReferenceClusterSim, RetryPolicy, RoutingKind,
+    RetryPolicy, RoutingKind,
 };
 use sp_metrics::{ClassSlo, Dur};
 use sp_model::presets;
@@ -79,7 +81,7 @@ struct Scenario {
     name: String,
     replicas: usize,
     /// Horizon-parallel fan-out width the simulation ran at (1 for the
-    /// sequential reference and the non-cluster scenarios).
+    /// sequential spec and the non-cluster scenarios).
     threads: usize,
     requests: usize,
     events: u64,
@@ -88,7 +90,7 @@ struct Scenario {
     peak_rss_kb: u64,
 }
 
-fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, reference_mode: bool) -> Vec<Engine> {
+fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, spec: bool) -> Vec<Engine> {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     (0..n)
         .map(|_| {
@@ -102,49 +104,30 @@ fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, reference_mode: bo
                 Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
                 config,
             );
-            engine.set_reference_mode(reference_mode);
+            engine.set_spec(spec);
             engine
         })
         .collect()
 }
 
-/// Engines for the pricing pair: 8-GPU paper nodes running the
-/// two-config Shift policy, so every scheduling iteration prices both
-/// the base and the shifted layout. `memo` enables the decode-shape
-/// step memo; `direct` forces pricing back onto the `try_iteration`
-/// fold while keeping the calendar scheduler, isolating pricing cost.
-fn pricing_engines(n: usize, memo: Option<u64>, direct: bool) -> Vec<Engine> {
+/// Engines for the fast-forward pair: 8-GPU paper nodes running the
+/// two-config Shift policy, so every scheduling iteration prices the
+/// chosen base or shifted layout, either on the fast paths (the engine
+/// default, steady-state decode macro-stepping live) or as spec engines
+/// that walk every iteration through the per-iteration scheduler.
+fn fastforward_engines(n: usize, spec: bool) -> Vec<Engine> {
     let node = NodeSpec::p5en_48xlarge();
     (0..n)
         .map(|_| {
-            let config = EngineConfig {
-                kv_capacity_tokens: DEFAULT_KV,
-                decode_memo_tokens: memo,
-                ..EngineConfig::default()
-            };
             let mut engine = Engine::new(
                 ExecutionModel::new(node, presets::qwen_32b()),
                 Box::new(ShiftPolicy::with_default_threshold(ParallelConfig::new(4, 2))),
-                config,
+                EngineConfig { kv_capacity_tokens: DEFAULT_KV, ..EngineConfig::default() },
             );
-            engine.set_direct_pricing(direct);
+            engine.set_spec(spec);
             engine
         })
         .collect()
-}
-
-/// Engines for the fast-forward pair: the decode-heavy shift cluster
-/// with the decode-shape memo on (the `cluster_memo` configuration),
-/// with the steady-state decode fast-forward either live (the engine
-/// default) or disabled so every decode iteration walks the
-/// per-iteration scheduler. Both sides share the calendar and the
-/// pricing stack, so the ratio isolates macro-stepping.
-fn fastforward_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
-    let mut engines = pricing_engines(n, Some(8192), false);
-    for e in &mut engines {
-        e.set_fast_forward(fast_forward);
-    }
-    engines
 }
 
 /// A bursty trace whose offered load scales with the replica count, so
@@ -167,32 +150,6 @@ fn bursty_trace(replicas: usize, smoke: bool, burst_depth: usize) -> Trace {
         burst_input: LengthDist::LogNormal { median: 2000.0, sigma: 0.8 },
         burst_output: LengthDist::LogNormal { median: 150.0, sigma: 0.5 },
         seed: 0x51_3E_9F,
-    }
-    .generate()
-}
-
-/// A decode-heavy trace for the pricing pair: one deep synchronized
-/// burst of short prompts with long, low-variance generations, on top
-/// of a trickle of interactive traffic. After the burst prefills drain,
-/// every replica settles into a long plateau of pure-decode iterations
-/// over ~200 sequences — the regime where the direct per-chunk cost
-/// fold dominates wall time and the compiled plans plus the
-/// decode-shape memo pay off.
-fn decode_heavy_trace(replicas: usize, smoke: bool) -> Trace {
-    let r = replicas as f64;
-    let (duration, burst_depth, out_median) =
-        if smoke { (15.0, 120, 800.0) } else { (20.0, 240, 1500.0) };
-    BurstyConfig {
-        duration: Dur::from_secs(duration),
-        base_rate: 0.5 * r,
-        bursts: 1,
-        burst_size: burst_depth * replicas,
-        burst_window: Dur::from_secs(2.0),
-        base_input: LengthDist::LogNormal { median: 150.0, sigma: 0.4 },
-        base_output: LengthDist::LogNormal { median: 400.0, sigma: 0.4 },
-        burst_input: LengthDist::LogNormal { median: 200.0, sigma: 0.3 },
-        burst_output: LengthDist::LogNormal { median: out_median, sigma: 0.25 },
-        seed: 0xDE_C0_DE,
     }
     .generate()
 }
@@ -252,9 +209,9 @@ fn steadyshape_trace(replicas: usize, smoke: bool) -> Trace {
 /// Engines for the shape-stable pair: single-GPU DP replicas with a
 /// small token budget (so the trace's inputs chunk across iterations),
 /// bounded KV (so the admission gate engages), and SLO classes (so the
-/// gate's EDF expiry bound is live), with the shape-stable fast-forward
-/// either on (the default) or forced off.
-fn steadyshape_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
+/// gate's EDF expiry bound is live), on the fast paths or as spec
+/// engines.
+fn steadyshape_engines(n: usize, spec: bool) -> Vec<Engine> {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     (0..n)
         .map(|_| {
@@ -269,7 +226,7 @@ fn steadyshape_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
                 Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
                 config,
             );
-            engine.set_fast_forward(fast_forward);
+            engine.set_spec(spec);
             engine
         })
         .collect()
@@ -405,21 +362,21 @@ fn measure_autoscaled(
     }
 }
 
-/// Same measurement through the naive loop this PR replaced: the
-/// linear-rescan cluster dispatch (`ReferenceClusterSim`) over engines
-/// running the pre-index linear admission scan. Scheduling decisions
-/// are identical to the calendar path — only the cost model differs.
-fn measure_reference(
+/// Same measurement through the executable specification: the
+/// linear-rescan per-event cluster loop (`ClusterSim::set_spec`) over
+/// spec engines (linear admission scan, fold-based load snapshots,
+/// direct pricing). Scheduling decisions are identical to the fast
+/// paths — only the cost differs.
+fn measure_spec(
     name: &str,
     replicas: usize,
     slo: Option<ClassSlo>,
     kv_capacity: u64,
     trace: &Trace,
 ) -> Scenario {
-    let mut sim = ReferenceClusterSim::new(
-        engines(replicas, slo, kv_capacity, true),
-        RoutingKind::default().policy(),
-    );
+    let mut sim =
+        ClusterSim::new(engines(replicas, slo, kv_capacity, true), RoutingKind::default().policy());
+    sim.set_spec(true);
     reset_peak_rss();
     let start = Instant::now();
     let report = sim.run(trace);
@@ -625,11 +582,8 @@ fn measure_pricing_evals(
 }
 
 /// Runs `trace` through a calendar-driven cluster built from the given
-/// engines. Used by the cluster-level memo pair, where the two runs
-/// differ only in how iterations are priced — scheduling decisions may
-/// diverge across the pair (the memo quantizes decode durations), so no
-/// event-count equality is asserted; each run's events/sec stands on
-/// its own wall.
+/// engines — the fast-path and spec-engine halves of the fast-forward
+/// and shape-stable pairs.
 fn measure_with_engines(
     name: &str,
     replicas: usize,
@@ -754,13 +708,11 @@ fn main() {
     });
 
     // Headline pair: the optimized stack (event calendar + indexed EDF
-    // admission + allocation-free batch build) versus the naive loop it
-    // replaced (linear-rescan dispatch + linear admission scan), on a
+    // admission + allocation-free batch build + compiled pricing +
+    // macro-stepping) versus the executable spec (linear-rescan
+    // per-event dispatch + linear admission scan + direct pricing), on a
     // deep-burst SLO trace at the largest sweep point, measured
-    // back-to-back on a quiet process. The measured ratio is a lower
-    // bound on the true win: the pre-PR code also paid O(W) queue
-    // removals and a fresh allocation per batch build, which the
-    // reference path does not reproduce.
+    // back-to-back on a quiet process.
     let headline_r = *replica_counts.last().expect("sweep is non-empty");
     let slo = Some(ClassSlo::default());
     let trace = bursty_trace(headline_r, smoke, if smoke { 40 } else { 300 });
@@ -774,7 +726,7 @@ fn main() {
         )
     });
     let reference = best_of(runs, || {
-        measure_reference(&format!("reference_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
+        measure_spec(&format!("reference_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
     });
     assert_eq!(cal.events, reference.events, "loops must execute identical event counts");
     let speedup = cal.events_per_sec / reference.events_per_sec.max(1e-9);
@@ -869,34 +821,9 @@ fn main() {
     scenarios.push(compiled);
     scenarios.push(direct);
 
-    // Cluster-level memo pair (informational): the same calendar
-    // scheduler end to end on a decode-heavy shift-policy cluster, with
-    // pricing either through plans + the decode-shape memo or forced
-    // onto the direct fold. Bounds how much of a full simulation run
-    // the pricing layer is worth.
-    let cluster_trace = decode_heavy_trace(pricing_r, smoke);
-    let memo = best_of(runs, || {
-        measure_with_engines(
-            &format!("cluster_memo_r{pricing_r}"),
-            pricing_r,
-            pricing_engines(pricing_r, Some(8192), false),
-            &cluster_trace,
-        )
-    });
-    let direct_cluster = best_of(runs, || {
-        measure_with_engines(
-            &format!("cluster_directprice_r{pricing_r}"),
-            pricing_r,
-            pricing_engines(pricing_r, None, true),
-            &cluster_trace,
-        )
-    });
-    scenarios.push(memo);
-    scenarios.push(direct_cluster);
-
     // Fast-forward pair: the decode-heavy shift cluster macro-stepped
-    // through steady-state decode runs versus the same fleet forced
-    // onto the per-iteration loop. Reports are byte-identical across
+    // through steady-state decode runs versus the same fleet of spec
+    // engines. Reports are byte-identical across
     // the pair (the fast-forward property suite pins this), and the
     // event counts are asserted equal here, so the events/sec ratio is
     // pure scheduler wall time. Gated at >=3x in smoke so the fast
@@ -907,7 +834,7 @@ fn main() {
         measure_with_engines(
             &format!("fastforward_r{ff_r}"),
             ff_r,
-            fastforward_engines(ff_r, true),
+            fastforward_engines(ff_r, false),
             &ff_trace,
         )
     });
@@ -915,19 +842,19 @@ fn main() {
         measure_with_engines(
             &format!("fastforward_periter_r{ff_r}"),
             ff_r,
-            fastforward_engines(ff_r, false),
+            fastforward_engines(ff_r, true),
             &ff_trace,
         )
     });
     assert_eq!(
         ff.events, periter.events,
-        "fast-forward and per-iteration loops must execute identical event counts"
+        "fast-forward and spec engines must execute identical event counts"
     );
     let fastforward_speedup = ff.events_per_sec / periter.events_per_sec.max(1e-9);
     if smoke {
         assert!(
             fastforward_speedup >= 3.0,
-            "decode fast-forward must hold >=3x over the per-iteration loop in smoke \
+            "decode fast-forward must hold >=3x over the spec engines in smoke \
              (got {fastforward_speedup:.2}x)"
         );
     }
@@ -936,7 +863,7 @@ fn main() {
 
     // Shape-stable window pair: the same engines with the generalized
     // fast-forward (mixed prefill+decode windows plus the KV-blocked
-    // admission gate) against the forced per-iteration loop, on a
+    // admission gate) against spec engines, on a
     // KV-bound trace whose prefills chunk across iterations. Reports
     // are byte-identical across the pair (pinned by the fast-forward
     // property suite); event counts are asserted equal here, and smoke
@@ -948,7 +875,7 @@ fn main() {
         measure_with_engines(
             &format!("steadyshape_r{ss_r}"),
             ss_r,
-            steadyshape_engines(ss_r, true),
+            steadyshape_engines(ss_r, false),
             &ss_trace,
         )
     });
@@ -956,19 +883,19 @@ fn main() {
         measure_with_engines(
             &format!("steadyshape_periter_r{ss_r}"),
             ss_r,
-            steadyshape_engines(ss_r, false),
+            steadyshape_engines(ss_r, true),
             &ss_trace,
         )
     });
     assert_eq!(
         ss.events, ss_periter.events,
-        "shape-stable and per-iteration loops must execute identical event counts"
+        "shape-stable and spec engines must execute identical event counts"
     );
     let steadyshape_speedup = ss.events_per_sec / ss_periter.events_per_sec.max(1e-9);
     if smoke {
         assert!(
             steadyshape_speedup >= 2.0,
-            "shape-stable windows must hold >=2x over the per-iteration loop in smoke \
+            "shape-stable windows must hold >=2x over the spec engines in smoke \
              (got {steadyshape_speedup:.2}x)"
         );
     }
@@ -987,7 +914,7 @@ fn main() {
     std::fs::write("BENCH_simperf.json", &json).expect("write BENCH_simperf.json");
     println!("{json}");
     println!(
-        "calendar vs linear-rescan reference at {headline_r} replicas: {speedup:.2}x events/sec"
+        "fast paths vs the executable spec at {headline_r} replicas: {speedup:.2}x events/sec"
     );
     println!(
         "horizon-parallel stepping at {par_r} replicas: {parallel_scaling:.2}x events/sec at 8 threads vs 1"
@@ -996,10 +923,10 @@ fn main() {
         "compiled pricing vs direct try_iteration re-folds: {pricing_speedup:.2}x config evals/sec"
     );
     println!(
-        "decode fast-forward at {ff_r} replicas: {fastforward_speedup:.2}x events/sec vs the per-iteration loop"
+        "decode fast-forward at {ff_r} replicas: {fastforward_speedup:.2}x events/sec vs spec engines"
     );
     println!(
-        "shape-stable windows at {ss_r} replicas: {steadyshape_speedup:.2}x events/sec vs the per-iteration loop"
+        "shape-stable windows at {ss_r} replicas: {steadyshape_speedup:.2}x events/sec vs spec engines"
     );
     sp_bench::probes::print_profile();
 

@@ -296,7 +296,6 @@ impl DeploymentBuilder {
             max_prefill_tokens: self.max_prefill_tokens,
             queue_policy: self.queue_policy,
             class_slo: self.class_slo,
-            decode_memo_tokens: None,
         };
 
         let make_exec = |node: NodeSpec| -> ExecutionModel {

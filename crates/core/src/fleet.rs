@@ -11,9 +11,9 @@
 use crate::deployment::{Deployment, DeploymentBuilder, DeploymentError};
 use sp_engine::{ClusterSim, EngineReport, FaultPlan, RetryPolicy, RoutingKind};
 use sp_metrics::Dur;
-use sp_workload::{Request, Trace};
+use sp_workload::Trace;
 
-/// N single-node deployments behind a balance-by-expected-work router.
+/// N single-node deployments behind an online router.
 ///
 /// # Examples
 ///
@@ -77,22 +77,6 @@ impl Fleet {
         self.nodes.len()
     }
 
-    /// Splits `trace` across nodes offline: each request goes to the node
-    /// with the least total tokens assigned so far. This is the static
-    /// baseline [`Fleet::run`] replaced — kept for comparisons (it is the
-    /// assignment [`sp_engine::StaticSplit`] reproduces online).
-    pub fn route(&self, trace: &Trace) -> Vec<Trace> {
-        let n = self.nodes.len();
-        let mut assigned: Vec<Vec<Request>> = vec![Vec::new(); n];
-        let mut load = vec![0u64; n];
-        for r in trace.requests() {
-            let target = (0..n).min_by_key(|&i| load[i]).expect("non-empty fleet");
-            load[target] += r.total_tokens();
-            assigned[target].push(*r);
-        }
-        assigned.into_iter().map(Trace::with_ids).collect()
-    }
-
     /// Runs `trace` across the fleet with online routing: nodes advance
     /// together in simulated time and each request is dispatched at its
     /// arrival instant by the configured policy acting on live
@@ -108,17 +92,6 @@ impl Fleet {
         let report = sim.run(trace);
         self.nodes = sim.into_nodes();
         report
-    }
-
-    /// Runs `trace` with the offline static split ([`Fleet::route`]) —
-    /// the pre-event-driven behaviour, kept as a comparison baseline.
-    pub fn run_offline(&mut self, trace: &Trace) -> EngineReport {
-        let shards = self.route(trace);
-        let mut merged = EngineReport::new(Dur::from_secs(1.0));
-        for (node, shard) in self.nodes.iter_mut().zip(shards) {
-            merged.merge(node.run(&shard));
-        }
-        merged
     }
 
     /// Aggregated shift statistics `(base, shift, switches)` across nodes,
@@ -177,11 +150,11 @@ mod tests {
 
     #[test]
     fn routing_is_conservative() {
-        let fleet = make_fleet(3);
+        let mut fleet = make_fleet(3);
         let trace = synthetic::poisson(31, 10.0, 1024, 16, 8);
-        let shards = fleet.route(&trace);
-        let total: usize = shards.iter().map(Trace::len).sum();
-        assert_eq!(total, 31);
+        let report = fleet.run(&trace);
+        assert_eq!(report.routing_decisions().len(), 31);
+        assert_eq!(report.records().len(), 31);
     }
 
     #[test]

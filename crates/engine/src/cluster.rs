@@ -11,18 +11,18 @@ use crate::routing::{ClusterSim, RoutingPolicy, RunAdvance, SimNode};
 use sp_metrics::{Dur, NodeLoad, SimTime};
 use sp_workload::{Request, Trace};
 
-/// N independent engines behind a balance-by-expected-work router.
+/// N independent engines behind an online router.
 ///
-/// Routing is greedy: each request (in arrival order) goes to the replica
-/// with the least total tokens assigned so far — a deterministic
-/// approximation of join-shortest-queue that equalizes replica work for
-/// both steady and bursty traffic.
+/// [`DataParallelCluster::run_online`] dispatches each request at its
+/// arrival instant to the replica a [`RoutingPolicy`] picks from live
+/// load; [`crate::routing::StaticSplit`] reproduces the greedy
+/// up-front split by assigned tokens.
 ///
 /// # Examples
 ///
 /// ```
 /// use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-/// use sp_engine::{DataParallelCluster, Engine, EngineConfig};
+/// use sp_engine::{DataParallelCluster, Engine, EngineConfig, RoutingKind};
 /// use sp_model::presets;
 /// use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
 /// use sp_workload::synthetic;
@@ -36,7 +36,8 @@ use sp_workload::{Request, Trace};
 ///         EngineConfig::default(),
 ///     )
 /// });
-/// let report = dp.run(&synthetic::uniform_batch(16, 512, 4));
+/// let trace = synthetic::uniform_batch(16, 512, 4);
+/// let report = dp.run_online(&trace, RoutingKind::default().policy());
 /// assert_eq!(report.records().len(), 16);
 /// ```
 #[derive(Debug)]
@@ -61,35 +62,6 @@ impl DataParallelCluster {
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
-    }
-
-    /// Splits `trace` across replicas with the greedy router.
-    pub fn route(&self, trace: &Trace) -> Vec<Trace> {
-        let n = self.replicas.len();
-        let mut assigned: Vec<Vec<Request>> = vec![Vec::new(); n];
-        let mut load = vec![0u64; n];
-        for r in trace.requests() {
-            let target = (0..n).min_by_key(|&i| load[i]).expect("non-empty cluster");
-            load[target] += r.total_tokens();
-            assigned[target].push(*r);
-        }
-        assigned.into_iter().map(Trace::with_ids).collect()
-    }
-
-    /// Runs `trace` across the cluster and merges per-replica reports.
-    ///
-    /// This is the offline path: the trace is split up front by
-    /// [`DataParallelCluster::route`] and each replica runs its shard in
-    /// isolation. Use [`DataParallelCluster::run_online`] for arrival-time
-    /// dispatch against live load.
-    pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        let shards = self.route(trace);
-        let bin = self.throughput_bin();
-        let mut merged = EngineReport::new(bin);
-        for (engine, shard) in self.replicas.iter_mut().zip(shards) {
-            merged.merge(engine.run(&shard));
-        }
-        merged
     }
 
     /// Runs `trace` with online routing: replicas advance together in
@@ -222,6 +194,7 @@ impl SimNode for DataParallelCluster {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::routing::RoutingKind;
     use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
     use sp_model::presets;
     use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
@@ -238,18 +211,29 @@ mod tests {
         })
     }
 
+    /// Tokens routed to each of `replicas` replicas, from the decision
+    /// trail.
+    fn routed_tokens(report: &EngineReport, trace: &Trace, replicas: usize) -> Vec<u64> {
+        let mut work = vec![0u64; replicas];
+        for d in report.routing_decisions() {
+            let req = trace.requests().iter().find(|r| r.id == d.request_id).unwrap();
+            work[d.replica] += req.total_tokens();
+        }
+        work
+    }
+
     #[test]
-    fn router_balances_uniform_load() {
-        let cluster = make_cluster(4);
-        let shards = cluster.route(&synthetic::uniform_batch(100, 1000, 100));
-        for shard in &shards {
-            assert_eq!(shard.len(), 25);
+    fn static_split_balances_uniform_load() {
+        let trace = synthetic::uniform_batch(100, 1000, 100);
+        let report = make_cluster(4).run_online(&trace, RoutingKind::StaticSplit.policy());
+        for replica in 0..4 {
+            let n = report.routing_decisions().iter().filter(|d| d.replica == replica).count();
+            assert_eq!(n, 25);
         }
     }
 
     #[test]
-    fn router_balances_skewed_sizes() {
-        let cluster = make_cluster(2);
+    fn static_split_balances_skewed_sizes() {
         // Alternating huge and tiny requests.
         let mut reqs = Vec::new();
         for i in 0..40u64 {
@@ -264,8 +248,9 @@ mod tests {
                 prefix_group: None,
             });
         }
-        let shards = cluster.route(&Trace::new(reqs));
-        let work: Vec<u64> = shards.iter().map(Trace::total_tokens).collect();
+        let trace = Trace::new(reqs);
+        let report = make_cluster(2).run_online(&trace, RoutingKind::StaticSplit.policy());
+        let work = routed_tokens(&report, &trace, 2);
         let imbalance = *work.iter().max().unwrap() as f64 / *work.iter().min().unwrap() as f64;
         assert!(imbalance < 1.2, "router imbalance {imbalance}");
     }
@@ -274,7 +259,7 @@ mod tests {
     fn all_requests_complete_exactly_once() {
         let mut cluster = make_cluster(8);
         let trace = synthetic::poisson(64, 50.0, 512, 8, 5);
-        let report = cluster.run(&trace);
+        let report = cluster.run_online(&trace, RoutingKind::default().policy());
         assert_eq!(report.records().len(), 64);
         let mut ids: Vec<u64> = report.records().iter().map(|r| r.request_id).collect();
         ids.sort_unstable();
@@ -285,8 +270,8 @@ mod tests {
     #[test]
     fn dp_throughput_scales_with_replicas() {
         let trace = synthetic::uniform_batch(64, 2048, 16);
-        let one = make_cluster(1).run(&trace);
-        let eight = make_cluster(8).run(&trace);
+        let one = make_cluster(1).run_online(&trace, RoutingKind::default().policy());
+        let eight = make_cluster(8).run_online(&trace, RoutingKind::default().policy());
         let speedup = one.makespan().as_secs() / eight.makespan().as_secs();
         assert!(speedup > 4.0, "8-replica speedup only {speedup:.2}x");
     }
@@ -311,7 +296,7 @@ mod tests {
     /// A bursty Poisson trace with a handful of long-decode "agentic"
     /// requests up front. The long decodes pin KV blocks on whichever
     /// replica admits them for minutes of simulated time — an asymmetry
-    /// the offline token-count split cannot see, so it keeps sending half
+    /// the static token-count split cannot see, so it keeps sending half
     /// of every burst into the congested replica's admission queue.
     fn bursty_trace_with_long_decodes(seed: u64) -> Trace {
         let mut reqs: Vec<Request> = sp_workload::bursty::BurstyConfig {
@@ -352,14 +337,15 @@ mod tests {
     fn online_jsq_beats_offline_static_split_on_bursty_p99_ttft() {
         // The tentpole claim: with KV-constrained replicas, requests that
         // cannot admit wait in queue — exactly the load signal
-        // join-shortest-outstanding reacts to. The offline split keeps
+        // join-shortest-outstanding reacts to. The static split keeps
         // feeding the replica whose cache the long decodes pinned, so its
-        // admission queue (and the TTFT tail) grows; online routing
+        // admission queue (and the TTFT tail) grows; load-aware routing
         // diverts bursts to the replica that is actually draining.
         let trace = bursty_trace_with_long_decodes(0xB5_257);
-        let mut offline_report = make_tight_cluster(2, 20_000).run(&trace);
+        let mut offline_report =
+            make_tight_cluster(2, 20_000).run_online(&trace, RoutingKind::StaticSplit.policy());
         let mut online_report = make_tight_cluster(2, 20_000)
-            .run_online(&trace, crate::routing::RoutingKind::JoinShortestOutstanding.policy());
+            .run_online(&trace, RoutingKind::JoinShortestOutstanding.policy());
 
         assert_eq!(online_report.records().len(), trace.len());
         assert_eq!(offline_report.records().len(), trace.len());
@@ -367,7 +353,7 @@ mod tests {
         let online = p99_ttft(&mut online_report);
         assert!(
             online < offline,
-            "online JSQ p99 TTFT {online:.3}s must beat offline split {offline:.3}s"
+            "online JSQ p99 TTFT {online:.3}s must beat the static split {offline:.3}s"
         );
         // The decision trail shows the diversion: not a 50/50 split.
         let to_first = online_report.routing_decisions().iter().filter(|d| d.replica == 0).count();
@@ -382,8 +368,7 @@ mod tests {
         // the per-decision shards.
         let trace = synthetic::poisson(48, 30.0, 640, 12, 21);
         let mut cluster = make_cluster(3);
-        let report = cluster
-            .run_online(&trace, crate::routing::RoutingKind::JoinShortestOutstanding.policy());
+        let report = cluster.run_online(&trace, RoutingKind::JoinShortestOutstanding.policy());
 
         // Every request completed exactly once, with its original id.
         let mut ids: Vec<u64> = report.records().iter().map(|r| r.request_id).collect();
@@ -411,27 +396,5 @@ mod tests {
         assert_eq!(report.metrics().total_tokens(), replica_token_sum);
         assert_eq!(report.iterations(), replica_iter_sum);
         assert_eq!(report.metrics().total_tokens(), trace.total_tokens());
-    }
-
-    #[test]
-    fn online_static_split_matches_offline_run() {
-        // StaticSplit replayed online must produce the same assignment as
-        // the offline router — and, since replicas are independent, the
-        // same per-request timings.
-        let trace = synthetic::poisson(32, 15.0, 1024, 16, 4);
-        let mut offline = make_cluster(2).run(&trace);
-        let mut online =
-            make_cluster(2).run_online(&trace, crate::routing::RoutingKind::StaticSplit.policy());
-        assert_eq!(online.records().len(), offline.records().len());
-        let key = |r: &mut EngineReport| {
-            let mut v: Vec<(u64, u64)> = r
-                .records()
-                .iter()
-                .map(|rec| (rec.request_id, (rec.finish.as_secs() * 1e9) as u64))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(key(&mut online), key(&mut offline));
     }
 }

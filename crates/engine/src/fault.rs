@@ -2,11 +2,10 @@
 //!
 //! A [`FaultPlan`] is a seeded, time-ordered schedule of failures —
 //! replica crashes, transient slowdown windows, and routing timeouts —
-//! injected into [`crate::routing::ClusterSim`] and
-//! [`crate::routing::ReferenceClusterSim`] through their shared fleet
-//! core. Faults fire as ordinary timers in the global event order, so the
-//! heap-calendar and reference loops stay byte-identical under the same
-//! plan.
+//! injected into [`crate::routing::ClusterSim`] through its fleet core.
+//! Faults fire as ordinary timers in the global event order, so the fast
+//! paths and the spec ([`crate::routing::ClusterSim::set_spec`]) stay
+//! byte-identical under the same plan.
 //!
 //! The recovery model follows production inference fleets: a crash
 //! destroys the replica's KV cache, so every salvaged request re-enters

@@ -282,6 +282,59 @@ impl EngineReport {
         }
     }
 
+    /// Canonical text form of every observable surface of the report —
+    /// the one serialization byte-identity checks compare. Covers the
+    /// records (completion order), routing decisions, rejected and
+    /// failed requests, the fleet timeline and request-fault trail, the
+    /// per-iteration timeline (when captured), the throughput bins,
+    /// config usage (sorted), the makespan, longest iteration and peak
+    /// KV readings, the completion and token totals, and the
+    /// preemption/shed/deferral counters. Floats render as their bit
+    /// patterns or as `Debug` (shortest round-trip), so equal text means
+    /// bit-identical reports.
+    pub fn canonical(&self) -> String {
+        let bins: Vec<(u64, u64)> = self
+            .recorder
+            .throughput()
+            .totals()
+            .map(|(t, w)| (t.as_secs().to_bits(), w.to_bits()))
+            .collect();
+        let mut usage: Vec<(ParallelConfig, u64)> =
+            self.config_usage.iter().map(|(c, &n)| (*c, n)).collect();
+        usage.sort_unstable();
+        format!(
+            "records: {:?}\ndecisions: {:?}\nrejected: {:?}\nfailed: {:?}\nfleet: {:?}\n\
+             request_faults: {:?}\ntimeline: {:?}\nthroughput_bins: {bins:?}\n\
+             config_usage: {usage:?}\niterations: {}\nmakespan: {:#x}\nmax_iteration: {:#x}\n\
+             peak_kv: {:#x}\ncompleted: {}\ntokens: {}\nlast_finish: {:#x}\npreemptions: {}\n\
+             sheds: {}\ndeferrals: {}\n",
+            self.records,
+            self.routing,
+            self.rejected,
+            self.failed,
+            self.fleet.events(),
+            self.fleet.request_faults(),
+            self.timeline,
+            self.iterations,
+            self.makespan.as_secs().to_bits(),
+            self.max_iteration.as_secs().to_bits(),
+            self.peak_kv_utilization.to_bits(),
+            self.recorder.completed(),
+            self.recorder.total_tokens(),
+            self.recorder.last_finish().as_secs().to_bits(),
+            self.preemptions,
+            self.sheds,
+            self.deferrals,
+        )
+    }
+
+    /// 64-bit FNV-1a digest of [`EngineReport::canonical`].
+    pub fn digest(&self) -> u64 {
+        self.canonical()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
     /// Merges another report (for data-parallel clusters). Iteration counts
     /// and config usage add; the makespan takes the maximum.
     pub fn merge(&mut self, other: EngineReport) {
@@ -400,5 +453,24 @@ mod tests {
         assert_eq!(a.makespan(), SimTime::from_secs(3.0));
         assert_eq!(a.max_iteration_time(), Dur::from_millis(50.0));
         assert_eq!(a.iterations(), 2);
+    }
+
+    #[test]
+    fn digest_is_stable_and_sees_every_counter() {
+        let build = |deferrals: u64| {
+            let mut r = EngineReport::new(Dur::from_secs(1.0));
+            r.note_iteration(
+                ParallelConfig::tensor(8),
+                SimTime::from_secs(1.0),
+                5,
+                Dur::from_millis(5.0),
+            );
+            r.note_deferrals(deferrals);
+            r
+        };
+        assert_eq!(build(0).canonical(), build(0).canonical());
+        assert_eq!(build(0).digest(), build(0).digest());
+        assert_ne!(build(0).digest(), build(1).digest());
+        assert_ne!(build(0).digest(), EngineReport::new(Dur::from_secs(1.0)).digest());
     }
 }

@@ -166,9 +166,8 @@ impl RoutingPolicy for RoundRobin {
 
 /// The offline static split, replayed online: each request goes to the
 /// replica with the least *cumulative assigned* tokens so far, ignoring
-/// live load. Produces exactly the same assignment as
-/// [`crate::cluster::DataParallelCluster::route`], so it serves as the
-/// pre-event-driven baseline in comparisons.
+/// live load. Produces exactly the greedy up-front split of the trace,
+/// so it serves as the pre-event-driven baseline in comparisons.
 #[derive(Debug, Clone, Default)]
 pub struct StaticSplit {
     assigned: Vec<u64>,
@@ -452,9 +451,9 @@ enum TimerChoice {
     Retry,
 }
 
-/// Fault-injection state carried by the shared fleet core. Fault timers
-/// interleave with node events through the simulations' event loops —
-/// never behind the calendar's back — so the heap and reference loops
+/// Fault-injection state carried by the fleet core. Fault timers
+/// interleave with node events through the simulation's event loops —
+/// never behind the calendar's back — so the fast paths and the spec
 /// stay byte-identical under the same plan.
 #[derive(Debug)]
 struct FaultState {
@@ -545,12 +544,12 @@ impl FaultState {
     }
 }
 
-/// The lifecycle-aware fleet core shared by [`ClusterSim`] and
-/// [`ReferenceClusterSim`]: slots, routing, autoscaling decisions,
-/// lifecycle bookkeeping and report assembly. The two simulations differ
-/// *only* in how they find the earliest pending event (binary-heap
-/// calendar vs. linear rescan), so the byte-identity property between
-/// them keeps pinning exactly the calendar — scale events included.
+/// The lifecycle-aware fleet core of [`ClusterSim`]: slots, routing,
+/// autoscaling decisions, lifecycle bookkeeping and report assembly.
+/// The fast paths and the spec (see [`ClusterSim::set_spec`]) differ
+/// *only* in how they find and step pending events, never in this
+/// state, so the byte-identity properties between them pin exactly the
+/// calendar and the window engine — scale events included.
 #[derive(Debug)]
 struct Fleet<N> {
     slots: Vec<Slot<N>>,
@@ -1178,11 +1177,9 @@ pub struct ClusterSim<N: SimNode> {
     /// Fan-out width for horizon-parallel windows (see
     /// [`ClusterSim::set_threads`]); `1` steps windows inline.
     threads: usize,
-    /// `false` pins the legacy one-event-at-a-time advance loop — kept
-    /// only so the property suite can compare the horizon-parallel
-    /// engine against the sequential calendar it must be byte-identical
-    /// to.
-    horizon_parallel: bool,
+    /// Runs the simulation as its executable specification (see
+    /// [`ClusterSim::set_spec`]).
+    spec: bool,
     /// Scratch buffers for window stepping, reused across windows to
     /// keep the hot path allocation-free.
     window_pending: Vec<usize>,
@@ -1325,7 +1322,7 @@ impl<N: SimNode> ClusterSim<N> {
             fleet: Fleet::new(nodes, policy),
             calendar,
             threads: sp_core::default_threads(),
-            horizon_parallel: true,
+            spec: false,
             window_pending: Vec::new(),
             window_outcomes: Vec::new(),
             window_retires: Vec::new(),
@@ -1357,13 +1354,22 @@ impl<N: SimNode> ClusterSim<N> {
         self.threads
     }
 
-    /// Pins the legacy one-event-at-a-time advance loop (`false`) or the
-    /// horizon-parallel window engine (`true`, the default). Exists so
-    /// the property suite can pin byte-identity between the two; not
-    /// part of the supported API.
+    /// Switches the co-simulation to its executable specification: one
+    /// event at a time in global time order, every `earliest` query a
+    /// linear rescan of all slots (no heap calendar), no horizon windows
+    /// and no [`SimNode::step_run`] macro-steps. Reports are
+    /// byte-identical either way — only the cost differs. Combine with
+    /// spec-mode nodes ([`Engine::set_spec`]) for the full reference
+    /// stack. Consumed by the equivalence tests and the `simperf` bench;
+    /// not part of the supported API.
     #[doc(hidden)]
-    pub fn set_horizon_parallel(&mut self, on: bool) {
-        self.horizon_parallel = on;
+    pub fn set_spec(&mut self, spec: bool) {
+        self.spec = spec;
+        if spec {
+            self.calendar = None;
+        } else {
+            self.maybe_upgrade_calendar();
+        }
     }
 
     /// Attaches an autoscaler: at every dispatch instant its
@@ -1433,7 +1439,10 @@ impl<N: SimNode> ClusterSim<N> {
     /// is one-way. Must run after any operation that can spawn (dispatch
     /// and timer fires, both of which run autoscaler actions).
     fn maybe_upgrade_calendar(&mut self) {
-        if self.calendar.is_some() || self.fleet.slot_count() <= LINEAR_SCAN_MAX_REPLICAS {
+        if self.spec
+            || self.calendar.is_some()
+            || self.fleet.slot_count() <= LINEAR_SCAN_MAX_REPLICAS
+        {
             return;
         }
         self.calendar = Some(BinaryHeap::with_capacity(self.fleet.slot_count() * 2));
@@ -1519,13 +1528,13 @@ impl<N: SimNode> ClusterSim<N> {
     }
 
     /// Steps every slot up to `horizon` (see [`WindowCap`] for the exact
-    /// boundary semantics per mode). Dispatches to the horizon-parallel
-    /// window engine or the legacy per-event loop.
+    /// boundary semantics per mode): the horizon-parallel window engine,
+    /// or the per-event loop in spec mode.
     fn advance_to(&mut self, horizon: SimTime) {
-        if self.horizon_parallel {
-            self.advance_to_windowed(horizon);
-        } else {
+        if self.spec {
             self.advance_to_sequential(horizon);
+        } else {
+            self.advance_to_windowed(horizon);
         }
     }
 
@@ -1662,8 +1671,9 @@ impl<N: SimNode> ClusterSim<N> {
         saw_nan
     }
 
-    /// The legacy one-event-at-a-time advance: steps slots in global
-    /// time order until every pending event is at or after `horizon`.
+    /// The one-event-at-a-time advance (the spec's, and the window
+    /// engine's NaN fallback): steps slots in global time order until
+    /// every pending event is at or after `horizon`.
     /// Fault timers interleave: a timer fires before any node event at
     /// the same instant, and — unlike node events — fires *at* the
     /// horizon too, so a crash scheduled exactly at an arrival instant
@@ -1786,7 +1796,7 @@ impl<N: SimNode> ClusterSim<N> {
         // windows and fire between them, so salvaged requests finish —
         // or fail terminally — before the report is cut.
         let mut guard: u64 = 0;
-        if !self.horizon_parallel {
+        if self.spec {
             if self.fleet.faults.is_none() {
                 while let Some(i) = self.earliest() {
                     guard += 1;
@@ -1821,174 +1831,6 @@ impl<N: SimNode> ClusterSim<N> {
             }
         }
 
-        self.take_report()
-    }
-}
-
-/// The pre-calendar cluster loop, kept as an executable specification:
-/// every `earliest` query rescans all `R` nodes linearly, exactly as
-/// [`ClusterSim`] did before it grew the event calendar.
-///
-/// It exists for two consumers only — the equivalence property in
-/// `tests/cluster_properties.rs` (heap-driven runs must stay
-/// byte-identical to this loop) and the `simperf` bench bin (which
-/// measures the calendar's speedup against it). It is not part of the
-/// supported API.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct ReferenceClusterSim<N: SimNode> {
-    fleet: Fleet<N>,
-}
-
-impl<N: SimNode> ReferenceClusterSim<N> {
-    /// Creates the reference co-simulation over `nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty.
-    pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ReferenceClusterSim<N> {
-        ReferenceClusterSim { fleet: Fleet::new(nodes, policy) }
-    }
-
-    /// Attaches an autoscaler (see [`ClusterSim::with_autoscaler`]). The
-    /// lifecycle machinery is the shared [`Fleet`] core, so scale events
-    /// exercise the byte-identity property too.
-    pub fn with_autoscaler(mut self, scaler: Autoscaler<N>) -> ReferenceClusterSim<N> {
-        self.fleet.autoscaler = Some(scaler);
-        self
-    }
-
-    /// Attaches a fault-injection plan (see [`ClusterSim::with_faults`]).
-    /// The fault machinery lives in the shared [`Fleet`] core, so crash,
-    /// retry and slowdown scheduling exercise the byte-identity property
-    /// too.
-    pub fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> ReferenceClusterSim<N> {
-        self.fleet.faults = Some(FaultState::new(plan, retry));
-        self
-    }
-
-    /// Sets the merged report's throughput bin width (default 1 s).
-    pub fn throughput_bin(mut self, bin: Dur) -> ReferenceClusterSim<N> {
-        self.fleet.throughput_bin = bin;
-        self
-    }
-
-    /// Steps slot `i` with the same post-step lifecycle hook as
-    /// [`ClusterSim`], so drained replicas retire at identical instants.
-    fn step_node(&mut self, i: usize) {
-        let t = self.fleet.next_event_of(i);
-        self.fleet.step(i);
-        if let Some(t) = t {
-            self.fleet.after_step(i, t);
-        }
-    }
-
-    /// Steps the single globally earliest event — fault timer or node
-    /// event, timers first on ties (the mirror of
-    /// [`ClusterSim::step_event`]).
-    fn step_event(&mut self) -> bool {
-        let node = self.fleet.earliest_linear();
-        let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-        let timer_first = match (self.fleet.next_timer_time(), node_t) {
-            (Some(_), None) => true,
-            (Some(tt), Some(nt)) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-            (None, _) => false,
-        };
-        if timer_first {
-            self.fleet.fire_next_timer();
-            return true;
-        }
-        if let Some(i) = node {
-            self.step_node(i);
-            return true;
-        }
-        false
-    }
-
-    fn advance_to(&mut self, horizon: SimTime) {
-        if self.fleet.faults.is_none() {
-            while let Some(i) = self.fleet.earliest_linear() {
-                let t = self.fleet.next_event_of(i).expect("earliest implies event");
-                if t.as_secs() >= horizon.as_secs() {
-                    break;
-                }
-                self.step_node(i);
-            }
-            return;
-        }
-        loop {
-            let node = self.fleet.earliest_linear();
-            let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-            if let Some(tt) = self.fleet.next_timer_time() {
-                let timer_first = match node_t {
-                    Some(nt) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-                    None => true,
-                };
-                if timer_first && tt.as_secs() <= horizon.as_secs() {
-                    self.fleet.fire_next_timer();
-                    continue;
-                }
-            }
-            match (node, node_t) {
-                (Some(i), Some(t)) if t.as_secs() < horizon.as_secs() => self.step_node(i),
-                _ => break,
-            }
-        }
-    }
-
-    /// Dispatches one request at its arrival instant (see
-    /// [`ClusterSim::push_request`]).
-    pub fn push_request(&mut self, req: Request) {
-        self.advance_to(req.arrival);
-        self.fleet.dispatch(req, req.arrival);
-    }
-
-    /// Advances the cluster by one event — node event or fault timer.
-    pub fn step_once(&mut self) {
-        self.step_event();
-    }
-
-    /// Instant of the cluster's next event, or `None` when all idle.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        let node = self.fleet.earliest_linear().and_then(|i| self.fleet.next_event_of(i));
-        match (self.fleet.next_timer_time(), node) {
-            (Some(tt), Some(nt)) => {
-                Some(if tt.as_secs().total_cmp(&nt.as_secs()).is_le() { tt } else { nt })
-            }
-            (Some(tt), None) => Some(tt),
-            (None, node) => node,
-        }
-    }
-
-    /// Finalizes an incremental run (see [`ClusterSim::take_report`]).
-    pub fn take_report(&mut self) -> EngineReport {
-        self.fleet.take_report()
-    }
-
-    /// Runs `trace` to completion (see [`ClusterSim::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the co-simulation fails to make progress (internal bug
-    /// guard).
-    pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        self.fleet.decisions.reserve(trace.len());
-        for &req in trace.requests() {
-            self.push_request(req);
-        }
-        let mut guard: u64 = 0;
-        if self.fleet.faults.is_none() {
-            while let Some(i) = self.fleet.earliest_linear() {
-                guard += 1;
-                assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                self.step_node(i);
-            }
-        } else {
-            while self.step_event() {
-                guard += 1;
-                assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-            }
-        }
         self.take_report()
     }
 }
@@ -2073,6 +1915,13 @@ mod tests {
             .collect()
     }
 
+    /// A co-simulation in spec mode: the linear-rescan per-event loop.
+    fn spec_sim(nodes: Vec<Engine>, policy: Box<dyn RoutingPolicy>) -> ClusterSim<Engine> {
+        let mut sim = ClusterSim::new(nodes, policy);
+        sim.set_spec(true);
+        sim
+    }
+
     #[test]
     fn jsq_picks_least_loaded_with_ties_to_lowest_index() {
         let mut p = JoinShortestOutstanding;
@@ -2087,26 +1936,6 @@ mod tests {
         let r = req(0, 0.0, 100, 10);
         let picks: Vec<usize> = (0..5).map(|_| p.pick(&r, &loads(&[0, 0, 0]))).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1]);
-    }
-
-    #[test]
-    fn static_split_reproduces_offline_route() {
-        // The online StaticSplit policy must assign each request to the
-        // same replica the offline greedy router would.
-        let cluster = crate::cluster::DataParallelCluster::new(3, |_| engines(1).pop().unwrap());
-        let trace: Trace =
-            (0..30).map(|i| req(i, i as f64 * 0.1, 200 + (i as u32 % 7) * 800, 20)).collect();
-        let shards = cluster.route(&trace);
-
-        let mut policy = StaticSplit::default();
-        for r in trace.requests() {
-            let online = policy.pick(r, &loads(&[0, 0, 0]));
-            let offline = shards
-                .iter()
-                .position(|s| s.requests().iter().any(|q| q.id == r.id))
-                .expect("every request lands in a shard");
-            assert_eq!(online, offline, "request {}", r.id);
-        }
     }
 
     #[test]
@@ -2431,7 +2260,7 @@ mod tests {
         // ones — the tenancy generation in the heap key tombstones them.
         // A naive implementation that removes the node from the vector
         // (shifting indices) or reuses the slot without bumping the
-        // generation diverges from the linear-rescan reference here.
+        // generation diverges from the linear-rescan spec here.
         use crate::autoscale::AutoscaleConfig;
         use sp_metrics::ReplicaEventKind;
         let config =
@@ -2441,10 +2270,9 @@ mod tests {
         let heap = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
             .with_autoscaler(scripted_scaler(config, script()))
             .run(&trace);
-        let reference =
-            ReferenceClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
-                .with_autoscaler(scripted_scaler(config, script()))
-                .run(&trace);
+        let reference = spec_sim(engines(2), RoutingKind::JoinShortestOutstanding.policy())
+            .with_autoscaler(scripted_scaler(config, script()))
+            .run(&trace);
 
         assert_eq!(heap.routing_decisions(), reference.routing_decisions());
         assert_eq!(record_bits(&heap), record_bits(&reference));
@@ -2688,7 +2516,7 @@ mod tests {
         assert!(faulted.failed().is_empty());
         assert_eq!(faulted.fleet_timeline().crash_count(), 0);
 
-        let reference = ReferenceClusterSim::new(engines(2), RoutingKind::JsqByTtft.policy())
+        let reference = spec_sim(engines(2), RoutingKind::JsqByTtft.policy())
             .with_faults(FaultPlan::empty(), RetryPolicy::default())
             .run(&trace);
         assert_eq!(plain.routing_decisions(), reference.routing_decisions());
@@ -2717,10 +2545,9 @@ mod tests {
         let heap = ClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
             .with_faults(plan(), retry)
             .run(&trace);
-        let reference =
-            ReferenceClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
-                .with_faults(plan(), retry)
-                .run(&trace);
+        let reference = spec_sim(engines(3), RoutingKind::JoinShortestOutstanding.policy())
+            .with_faults(plan(), retry)
+            .run(&trace);
 
         assert_eq!(heap.routing_decisions(), reference.routing_decisions());
         assert_eq!(record_bits(&heap), record_bits(&reference));

@@ -503,7 +503,7 @@ mod tests {
     #[test]
     fn window_event_order_sorts_by_instant_then_slot_with_nan_last() {
         let t = |s: f64| SimTime::from_secs(s);
-        let mut evs = vec![(t(2.0), 0), (t(1.0), 3), (t(1.0), 1), (t(0.5), 9)];
+        let mut evs = [(t(2.0), 0), (t(1.0), 3), (t(1.0), 1), (t(0.5), 9)];
         evs.sort_by(window_event_order);
         assert_eq!(
             evs.iter().map(|&(at, r)| (at.as_secs(), r)).collect::<Vec<_>>(),

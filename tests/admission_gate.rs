@@ -3,10 +3,10 @@
 //! The gate (`Engine::arm_admission_gate` / `gate_blocks_admission`)
 //! lets the scheduler skip wait-queue admission scans while the head
 //! candidate's KV reservation provably cannot succeed. It is an
-//! *optimization*, never a behavior change: with
-//! `set_reference_mode(true)` the engine runs the pre-gate linear
-//! rescan on every iteration, and the gated engine must reproduce that
-//! report bit-for-bit. The deterministic tests here pin the two disarm
+//! *optimization*, never a behavior change: a spec engine
+//! (`Engine::set_spec(true)`) runs the pre-gate linear rescan on every
+//! iteration, and the gated engine must reproduce that report
+//! bit-for-bit (`EngineReport::canonical`). The deterministic tests here pin the two disarm
 //! paths that are easiest to get wrong — KV freed by an SLO batch-shed
 //! and by a decode-append preemption must unblock admission on the
 //! *same iteration* as a full rescan would, not an iteration late — and
@@ -20,9 +20,9 @@ use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 /// A KV-bound engine in the regime the gate targets: tight cache, a
 /// small token budget (so big prefills chunk across iterations and stay
 /// sheddable for a while), SLO-aware EDF admission, and timeline
-/// capture so the fingerprint pins every iteration. `reference` selects
-/// the pre-gate linear-rescan twin.
-fn gate_engine(kv: u64, admission: AdmissionMode, reference: bool) -> Engine {
+/// capture so the comparison pins every iteration. `spec` selects the
+/// spec twin (pre-gate linear rescan).
+fn gate_engine(kv: u64, admission: AdmissionMode, spec: bool) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
@@ -36,43 +36,8 @@ fn gate_engine(kv: u64, admission: AdmissionMode, reference: bool) -> Engine {
             ..EngineConfig::default()
         },
     );
-    e.set_reference_mode(reference);
+    e.set_spec(spec);
     e
-}
-
-/// Everything observable about a report, in owned, bit-exact form (the
-/// same surface `tests/fastforward.rs` compares): records, decisions,
-/// timeline, throughput bins, and the shed/preemption/deferral counters
-/// the gate's disarm paths feed.
-fn deep_fingerprint(r: &EngineReport) -> (String, String, Vec<(u64, u64)>, u64) {
-    let m = r.metrics();
-    let bins: Vec<(u64, u64)> =
-        m.throughput().totals().map(|(t, w)| (t.as_secs().to_bits(), w.to_bits())).collect();
-    let mut usage: Vec<(String, u64)> =
-        r.config_usage().iter().map(|(c, n)| (format!("{c:?}"), *n)).collect();
-    usage.sort();
-    let head = format!(
-        "records={:?}|decisions={:?}|rejected={:?}|failed={:?}|timeline={:?}",
-        r.records(),
-        r.routing_decisions(),
-        r.rejected(),
-        r.failed(),
-        r.timeline(),
-    );
-    let aggregates = format!(
-        "iters={}|usage={usage:?}|makespan={}|max_iter={}|peak_kv={}|completed={}|tokens={}|last={}|preempt={}|sheds={}|defer={}",
-        r.iterations(),
-        r.makespan().as_secs().to_bits(),
-        r.max_iteration_time().as_secs().to_bits(),
-        r.peak_kv_utilization().to_bits(),
-        m.completed(),
-        m.total_tokens(),
-        m.last_finish().as_secs().to_bits(),
-        r.preemptions(),
-        r.batch_sheds(),
-        r.batch_deferrals(),
-    );
-    (head, aggregates, bins, r.iterations())
 }
 
 fn request(id: u64, at: f64, input: u32, output: u32, class: RequestClass) -> Request {
@@ -110,10 +75,10 @@ fn shed_freed_kv_unblocks_gate_like_full_rescan() {
         gated_report.batch_sheds()
     );
     assert_eq!(gated_report.records().len(), 4, "every request must eventually complete");
-    let reference = gate_engine(KV, AdmissionMode::ReserveFull, true).run(&trace);
+    let spec = gate_engine(KV, AdmissionMode::ReserveFull, true).run(&trace);
     assert_eq!(
-        deep_fingerprint(&gated_report),
-        deep_fingerprint(&reference),
+        gated_report.canonical(),
+        spec.canonical(),
         "gated admission diverged from the linear rescan across a batch shed"
     );
 }
@@ -139,10 +104,10 @@ fn preemption_freed_kv_unblocks_gate_like_full_rescan() {
         "trace must exercise decode-append preemption (got {} preemptions)",
         gated_report.preemptions()
     );
-    let reference = gate_engine(KV, AdmissionMode::PreemptRestart, true).run(&trace);
+    let spec = gate_engine(KV, AdmissionMode::PreemptRestart, true).run(&trace);
     assert_eq!(
-        deep_fingerprint(&gated_report),
-        deep_fingerprint(&reference),
+        gated_report.canonical(),
+        spec.canonical(),
         "gated admission diverged from the linear rescan across preemptions"
     );
 }
@@ -178,8 +143,8 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let gated = deep_fingerprint(&gate_engine(kv, admission, false).run(&trace));
-        let naive = deep_fingerprint(&gate_engine(kv, admission, true).run(&trace));
+        let gated = gate_engine(kv, admission, false).run(&trace).canonical();
+        let naive = gate_engine(kv, admission, true).run(&trace).canonical();
         prop_assert_eq!(&gated, &naive, "gated admission diverged from the linear rescan");
     }
 }
@@ -199,8 +164,8 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let gated = deep_fingerprint(&gate_engine(kv, admission, false).run(&trace));
-        let naive = deep_fingerprint(&gate_engine(kv, admission, true).run(&trace));
+        let gated = gate_engine(kv, admission, false).run(&trace).canonical();
+        let naive = gate_engine(kv, admission, true).run(&trace).canonical();
         prop_assert_eq!(&gated, &naive, "gated admission diverged from the linear rescan");
     }
 }

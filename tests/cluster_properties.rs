@@ -1,13 +1,14 @@
 //! Property, determinism, and edge-case tests for the online cluster
 //! co-simulation (`ClusterSim`).
 //!
-//! The load-bearing property: online dispatch through `ClusterSim` with
-//! the `StaticSplit` policy must be *observationally identical* to the
-//! offline path (split the trace up front with
-//! `DataParallelCluster::route`, run each shard on an isolated engine) —
-//! same per-request records, same rejections. That equivalence is what
-//! lets the event-driven simulator be trusted as a superset of the
-//! offline one.
+//! The load-bearing properties: online dispatch through `ClusterSim`
+//! with the `StaticSplit` policy must be *observationally identical* to
+//! the offline path (split the trace up front with the greedy splitter
+//! below, run each shard on an isolated engine) — same per-request
+//! records, same rejections — and every fast path (event calendar,
+//! horizon-parallel windows, indexed admission) must stay byte-identical
+//! to the executable spec (`ClusterSim::set_spec` over
+//! `Engine::set_spec` engines).
 
 use proptest::prelude::*;
 use shift_parallelism::prelude::*;
@@ -22,22 +23,43 @@ fn engine(kv: u64) -> Engine {
     )
 }
 
-/// An engine with optional SLO admission, optionally running its
-/// pre-optimization reference scheduling paths (linear admission scan,
-/// fold-based load snapshots).
-fn engine_with(kv: u64, slo: Option<ClassSlo>, reference: bool) -> Engine {
+/// An engine with optional SLO admission, optionally running as its
+/// spec (linear admission scan, fold-based load snapshots, direct
+/// pricing, no macro-steps).
+fn engine_with(kv: u64, slo: Option<ClassSlo>, spec: bool) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
         Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
         EngineConfig { kv_capacity_tokens: kv, class_slo: slo, ..EngineConfig::default() },
     );
-    e.set_reference_mode(reference);
+    e.set_spec(spec);
     e
 }
 
 fn engines(n: usize, kv: u64) -> Vec<Engine> {
     (0..n).map(|_| engine(kv)).collect()
+}
+
+/// A co-simulation in spec mode: the linear-rescan per-event loop.
+fn spec_sim(nodes: Vec<Engine>) -> ClusterSim<Engine> {
+    let mut sim = ClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy());
+    sim.set_spec(true);
+    sim
+}
+
+/// The offline greedy splitter `StaticSplit` replays online: each
+/// request, in arrival order, goes to the replica with the fewest total
+/// tokens assigned so far (ties to the lowest index).
+fn greedy_split(trace: &Trace, n: usize) -> Vec<Trace> {
+    let mut shards: Vec<Vec<Request>> = vec![Vec::new(); n];
+    let mut load = vec![0u64; n];
+    for r in trace.requests() {
+        let target = (0..n).min_by_key(|&i| load[i]).expect("non-empty cluster");
+        load[target] += r.total_tokens();
+        shards[target].push(*r);
+    }
+    shards.into_iter().map(Trace::with_ids).collect()
 }
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -133,8 +155,7 @@ proptest! {
         let mut online = ClusterSim::new(engines(n, kv), RoutingKind::StaticSplit.policy());
         let online_report = online.run(&trace);
 
-        let offline_cluster = DataParallelCluster::new(n, |_| engine(kv));
-        let shards = offline_cluster.route(&trace);
+        let shards = greedy_split(&trace, n);
         prop_assert_eq!(shards.len(), n);
         let mut offline_merged = EngineReport::new(Dur::from_secs(1.0));
         for shard in &shards {
@@ -180,9 +201,9 @@ proptest! {
     /// change: over randomized traces and randomized push/step
     /// interleavings, `ClusterSim` (binary-heap dispatch, indexed EDF
     /// admission, incremental load counters) must stay in lockstep with
-    /// `ReferenceClusterSim` (the pre-PR linear-rescan loop over
-    /// reference-mode engines) — same next-event instant at every step,
-    /// and byte-identical reports at the end.
+    /// the spec (the linear-rescan per-event loop over spec engines) —
+    /// same next-event instant at every step, and byte-identical reports
+    /// at the end.
     #[test]
     fn event_calendar_matches_reference_loop(
         trace in arb_trace(),
@@ -192,14 +213,12 @@ proptest! {
         steps_between in prop::collection::vec(0usize..5, 0..32),
     ) {
         let slo = use_slo.then(ClassSlo::default);
-        let build =
-            |reference: bool| (0..n).map(|_| engine_with(kv, slo, reference)).collect::<Vec<_>>();
+        let build = |spec: bool| (0..n).map(|_| engine_with(kv, slo, spec)).collect::<Vec<_>>();
         let mut calendar =
             ClusterSim::new(build(false), RoutingKind::JoinShortestOutstanding.policy());
-        let mut naive =
-            ReferenceClusterSim::new(build(true), RoutingKind::JoinShortestOutstanding.policy());
+        let mut naive = spec_sim(build(true));
 
-        let next_bits = |cal: &ClusterSim<Engine>, naive: &ReferenceClusterSim<Engine>| {
+        let next_bits = |cal: &ClusterSim<Engine>, naive: &ClusterSim<Engine>| {
             (
                 cal.next_event_time().map(|t| t.as_secs().to_bits()),
                 naive.next_event_time().map(|t| t.as_secs().to_bits()),
@@ -264,7 +283,7 @@ proptest! {
         );
     }
 
-    /// The calendar/reference byte-identity property *with live scale
+    /// The calendar/spec byte-identity property *with live scale
     /// events*: a load-band autoscaler spawns (with cold start) and
     /// drains replicas mid-trace on both simulations, which share the
     /// lifecycle core but find the next event differently (heap vs
@@ -282,9 +301,8 @@ proptest! {
         cold in prop_oneof![Just(0.0f64), Just(2.5), Just(10.0)],
         steps_between in prop::collection::vec(0usize..5, 0..32),
     ) {
-        let build =
-            |reference: bool| (0..n).map(|_| engine_with(kv, None, reference)).collect::<Vec<_>>();
-        let scaler = |reference: bool| {
+        let build = |spec: bool| (0..n).map(|_| engine_with(kv, None, spec)).collect::<Vec<_>>();
+        let scaler = |spec: bool| {
             Autoscaler::new(
                 AutoscaleConfig {
                     cold_start: Dur::from_secs(cold),
@@ -294,17 +312,15 @@ proptest! {
                 Box::new(
                     LoadBandPolicy::new(hi, lo).smoothing(0.5).cooldown(Dur::from_secs(2.0)),
                 ),
-                move |_| engine_with(kv, None, reference),
+                move |_| engine_with(kv, None, spec),
             )
         };
         let mut calendar =
             ClusterSim::new(build(false), RoutingKind::JoinShortestOutstanding.policy())
                 .with_autoscaler(scaler(false));
-        let mut naive =
-            ReferenceClusterSim::new(build(true), RoutingKind::JoinShortestOutstanding.policy())
-                .with_autoscaler(scaler(true));
+        let mut naive = spec_sim(build(true)).with_autoscaler(scaler(true));
 
-        let next_bits = |cal: &ClusterSim<Engine>, naive: &ReferenceClusterSim<Engine>| {
+        let next_bits = |cal: &ClusterSim<Engine>, naive: &ClusterSim<Engine>| {
             (
                 cal.next_event_time().map(|t| t.as_secs().to_bits()),
                 naive.next_event_time().map(|t| t.as_secs().to_bits()),
@@ -505,7 +521,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The calendar/reference byte-identity property *under fault
+    /// The calendar/spec byte-identity property *under fault
     /// injection*: both simulations consume the same `FaultPlan` through
     /// their shared fleet core, so crashes (gen-bumped slots, salvaged
     /// work), retry timers, slowdown windows, and route timeouts must
@@ -524,13 +540,10 @@ proptest! {
         let mut calendar =
             ClusterSim::new(engines(n, 60_000), RoutingKind::JoinShortestOutstanding.policy())
                 .with_faults(plan.clone(), retry);
-        let mut naive = ReferenceClusterSim::new(
-            (0..n).map(|_| engine_with(60_000, None, true)).collect::<Vec<_>>(),
-            RoutingKind::JoinShortestOutstanding.policy(),
-        )
-        .with_faults(plan, retry);
+        let mut naive = spec_sim((0..n).map(|_| engine_with(60_000, None, true)).collect())
+            .with_faults(plan, retry);
 
-        let next_bits = |cal: &ClusterSim<Engine>, naive: &ReferenceClusterSim<Engine>| {
+        let next_bits = |cal: &ClusterSim<Engine>, naive: &ClusterSim<Engine>| {
             (
                 cal.next_event_time().map(|t| t.as_secs().to_bits()),
                 naive.next_event_time().map(|t| t.as_secs().to_bits()),
@@ -571,49 +584,27 @@ proptest! {
     }
 }
 
-/// Everything the byte-identity properties compare, in owned form: the
-/// decision trail, bit-exact record fields, reject/failure lists, the
-/// lifecycle timeline, the fault trail, and the debug rendering of the
-/// full record set (which captures every remaining field bit-exactly —
-/// f64 debug formatting is shortest-roundtrip).
-type Fingerprint = (String, Vec<(u64, u64, u64, u64, u32, u32)>, Vec<u64>, u64);
-
-fn full_fingerprint(r: &EngineReport) -> Fingerprint {
-    (
-        format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}",
-            r.routing_decisions(),
-            r.records(),
-            r.failed(),
-            r.fleet_timeline().events(),
-            r.fleet_timeline().request_faults(),
-        ),
-        canonical_records(r),
-        sorted_rejects(r),
-        r.iterations(),
-    )
-}
-
-/// Runs `sim` over `trace` as the sequential calendar (`threads` of
-/// `None`) or the horizon-parallel engine at the given fan-out width.
-fn run_mode(mut sim: ClusterSim<Engine>, threads: Option<usize>, trace: &Trace) -> EngineReport {
+/// Runs `sim` over `trace` as the spec (`threads` of `None`) or the
+/// horizon-parallel engine at the given fan-out width, returning the
+/// report's canonical form.
+fn run_mode(mut sim: ClusterSim<Engine>, threads: Option<usize>, trace: &Trace) -> String {
     match threads {
-        None => sim.set_horizon_parallel(false),
+        None => sim.set_spec(true),
         Some(t) => sim.set_threads(t),
     }
-    sim.run(trace)
+    sim.run(trace).canonical()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The tentpole property: horizon-parallel execution (windows of
-    /// independent replica stepping between coordination events, merged
-    /// in slot order) is byte-identical to the sequential calendar for
-    /// every thread count — same decision trail, bit-exact records,
-    /// same timelines. `n = 12` cases cross the linear-scan threshold,
-    /// so both calendar representations (linear rescan and heap) are
-    /// covered.
+    /// Horizon-parallel execution (windows of independent replica
+    /// stepping between coordination events, merged in slot order) is
+    /// byte-identical to the spec's per-event loop for every thread
+    /// count — same decision trail, bit-exact records, same timelines.
+    /// `n = 12` cases cross the linear-scan threshold, so the windowed
+    /// engine runs over both calendar representations (linear rescan
+    /// and heap).
     #[test]
     fn horizon_parallel_matches_sequential_calendar(
         trace in arb_trace(),
@@ -622,9 +613,9 @@ proptest! {
     ) {
         let n = if n_sel == 5 { 12 } else { n_sel + 1 };
         let build = || ClusterSim::new(engines(n, kv), RoutingKind::JoinShortestOutstanding.policy());
-        let sequential = full_fingerprint(&run_mode(build(), None, &trace));
+        let sequential = run_mode(build(), None, &trace);
         for threads in [1usize, 2, 8] {
-            let parallel = full_fingerprint(&run_mode(build(), Some(threads), &trace));
+            let parallel = run_mode(build(), Some(threads), &trace);
             prop_assert_eq!(&parallel, &sequential, "divergence at {} threads", threads);
         }
     }
@@ -632,7 +623,7 @@ proptest! {
     /// Byte-identity under fault injection: crash salvage, retry
     /// backoff timers, slowdown windows and route timeouts all cut or
     /// interleave with the horizon windows, and the merged result must
-    /// still match the sequential calendar exactly at every width.
+    /// still match the spec exactly at every width.
     #[test]
     fn horizon_parallel_matches_sequential_under_faults(
         trace in arb_trace(),
@@ -645,9 +636,9 @@ proptest! {
             ClusterSim::new(engines(n, 60_000), RoutingKind::JoinShortestOutstanding.policy())
                 .with_faults(plan.clone(), retry)
         };
-        let sequential = full_fingerprint(&run_mode(build(), None, &trace));
+        let sequential = run_mode(build(), None, &trace);
         for threads in [1usize, 2, 8] {
-            let parallel = full_fingerprint(&run_mode(build(), Some(threads), &trace));
+            let parallel = run_mode(build(), Some(threads), &trace);
             prop_assert_eq!(&parallel, &sequential, "divergence at {} threads", threads);
         }
     }
@@ -660,7 +651,7 @@ proptest! {
     /// and retires are coordination events (they only happen at dispatch
     /// or timer instants), so windows never straddle them — spawn/retire
     /// order, slot reuse and the lifecycle timeline must come out
-    /// identical to the sequential calendar at every width.
+    /// identical to the spec at every width.
     #[test]
     fn horizon_parallel_matches_sequential_with_autoscaling(
         trace in arb_dense_trace(),
@@ -685,9 +676,9 @@ proptest! {
             ClusterSim::new(engines(n, kv), RoutingKind::JoinShortestOutstanding.policy())
                 .with_autoscaler(scaler)
         };
-        let sequential = full_fingerprint(&run_mode(build(), None, &trace));
+        let sequential = run_mode(build(), None, &trace);
         for threads in [1usize, 2, 8] {
-            let parallel = full_fingerprint(&run_mode(build(), Some(threads), &trace));
+            let parallel = run_mode(build(), Some(threads), &trace);
             prop_assert_eq!(&parallel, &sequential, "divergence at {} threads", threads);
         }
     }
@@ -785,7 +776,7 @@ fn nan_next_event_time_windowed_advance_matches_sequential() {
     for threads in [None, Some(1usize), Some(8)] {
         let mut sim = ClusterSim::new(build(), RoutingKind::JoinShortestOutstanding.policy());
         match threads {
-            None => sim.set_horizon_parallel(false),
+            None => sim.set_spec(true),
             Some(t) => sim.set_threads(t),
         }
         // Advancing to the arrival drains the 1.0 s node; the NaN node
