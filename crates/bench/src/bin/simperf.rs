@@ -1,11 +1,14 @@
 //! Simulator self-benchmark: how fast does the simulator itself run?
 //!
 //! Measures wall-clock scheduling events per second and peak RSS of the
-//! event-calendar cluster loop ([`ClusterSim`]) on bursty traces at 1, 4,
-//! 16, and 64 replicas, plus the fast paths' speedup over the executable
-//! specification (`ClusterSim::set_spec` over `Engine::set_spec`
-//! engines: the linear-rescan per-event loop with linear admission
-//! scans and direct pricing). Results land in `BENCH_simperf.json`.
+//! default cluster loop ([`ClusterSim`]'s horizon windows) on bursty
+//! traces at 1, 4, 16, and 64 replicas, plus the fast paths' speedup
+//! over the executable specification (`ClusterSim::set_spec` over
+//! `Engine::set_spec` engines: the per-event loop, each event found by a
+//! linear rescan, with linear admission scans and direct pricing).
+//! Results land in `BENCH_simperf.json`. The `calendar_*` scenario names
+//! predate the deletion of the heap event calendar and are kept so
+//! baselines stay comparable.
 //!
 //! ```text
 //! cargo run --release -p sp-bench --bin simperf [-- --smoke] [-- --baseline ci/simperf_baseline.json]
@@ -19,7 +22,7 @@
 //!   baseline JSON and exit non-zero on a >30% regression in any
 //!   scenario present in both runs.
 //!
-//! Besides the calendar sweep and the calendar-vs-spec headline pair,
+//! Besides the replica sweep and the fast-vs-spec headline pair,
 //! the bench measures `pricing_evals_per_sec`: every candidate shift
 //! layout priced through compiled [`ExecPlan`]s in one `price_all` pass,
 //! against the direct per-config `try_iteration` fold over the same
@@ -272,8 +275,9 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// Runs `trace` through a calendar-driven cluster of `replicas` engines
-/// and measures events/sec (events = engine scheduling iterations).
+/// Runs `trace` through a default (windowed) cluster of `replicas`
+/// engines and measures events/sec (events = engine scheduling
+/// iterations).
 fn measure_calendar(
     name: &str,
     replicas: usize,
@@ -307,12 +311,12 @@ fn measure_calendar(
     }
 }
 
-/// Calendar measurement with the load-band autoscaler in the loop: the
+/// Cluster measurement with the load-band autoscaler in the loop: the
 /// fleet starts at one replica and grows toward `peak` on the load
 /// signal, so every dispatch pays the `pre_dispatch` lifecycle sweep
-/// and the calendar absorbs generation-tagged spawn/retire churn. The
-/// gated events/sec number keeps the autoscaling overhead on the
-/// regression radar alongside the plain calendar scenarios.
+/// and the windows absorb spawn/retire churn. The gated events/sec
+/// number keeps the autoscaling overhead on the regression radar
+/// alongside the plain `calendar_*` scenarios.
 fn measure_autoscaled(
     name: &str,
     peak: usize,
@@ -435,11 +439,11 @@ fn pricing_batch_window() -> Vec<BatchWork> {
         .collect()
 }
 
-/// Calendar measurement with fault injection in the loop: a seeded
+/// Cluster measurement with fault injection in the loop: a seeded
 /// Poisson crash schedule plus the crash-deficit autoscaler respawning
 /// lost replicas, so every event passes through the fault-timer
 /// interleaving (`peek_timer`, salvage, retry redelivery) instead of the
-/// fault-free fast path. Gated like the other calendar scenarios to keep
+/// fault-free fast path. Gated like the `calendar_*` scenarios to keep
 /// the chaos machinery's overhead on the regression radar.
 fn measure_chaos(
     name: &str,
@@ -493,7 +497,7 @@ fn measure_chaos(
     }
 }
 
-/// Calendar measurement at an explicit horizon-parallel fan-out width.
+/// Cluster measurement at an explicit horizon-parallel fan-out width.
 /// The `parallel_r*_t*` scenarios run the same replica fleet and trace
 /// at widths 1, 2, and 8, so the JSON carries an events/sec column per
 /// thread count and the t8 point can be gated in CI. Reports are
@@ -581,8 +585,8 @@ fn measure_pricing_evals(
     }
 }
 
-/// Runs `trace` through a calendar-driven cluster built from the given
-/// engines — the fast-path and spec-engine halves of the fast-forward
+/// Runs `trace` through a default (windowed) cluster built from the
+/// given engines — the fast-path and spec-engine halves of the fast-forward
 /// and shape-stable pairs.
 fn measure_with_engines(
     name: &str,
@@ -707,7 +711,7 @@ fn main() {
         })
     });
 
-    // Headline pair: the optimized stack (event calendar + indexed EDF
+    // Headline pair: the optimized stack (horizon windows + indexed EDF
     // admission + allocation-free batch build + compiled pricing +
     // macro-stepping) versus the executable spec (linear-rescan
     // per-event dispatch + linear admission scan + direct pricing), on a
@@ -733,16 +737,16 @@ fn main() {
     scenarios.push(cal);
     scenarios.push(reference);
 
-    // Autoscaled calendar: the same deep-burst SLO trace driven through
+    // Autoscaled fleet: the same deep-burst SLO trace driven through
     // a fleet that starts at one replica and scales toward the headline
-    // replica count on the load signal. Gated like the other calendar
-    // scenarios so the per-dispatch lifecycle sweep and the
-    // generation-tagged calendar churn stay on the regression radar.
+    // replica count on the load signal. Gated like the `calendar_*`
+    // scenarios so the per-dispatch lifecycle sweep and the spawn/retire
+    // churn stay on the regression radar.
     scenarios.push(best_of(runs, || {
         measure_autoscaled(&format!("autoscale_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
     }));
 
-    // Chaos calendar: the same autoscaled fleet under a seeded Poisson
+    // Chaos fleet: the same autoscaled fleet under a seeded Poisson
     // crash schedule, so the fault-timer interleaving (salvage, backoff
     // redelivery, deficit respawn) is measured and gated rather than
     // only tested.

@@ -7,7 +7,7 @@
 
 use crate::engine::Engine;
 use crate::report::EngineReport;
-use crate::routing::{ClusterSim, RoutingPolicy, RunAdvance, SimNode};
+use crate::routing::{ClusterSim, RoutingPolicy, SimNode};
 use sp_metrics::{Dur, NodeLoad, SimTime};
 use sp_workload::{Request, Trace};
 
@@ -157,36 +157,6 @@ impl SimNode for DataParallelCluster {
         for engine in &mut self.replicas {
             engine.set_slowdown(factor);
         }
-    }
-
-    fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
-        let earliest = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.next_event_time().map(|t| (i, t)))
-            .min_by(|a, b| a.1.as_secs().total_cmp(&b.1.as_secs()))
-            .map(|(i, _)| i);
-        let i = earliest?;
-        // Tighten the cap to the earliest event of any *other* replica:
-        // replica `i` stays the cluster's chosen node only strictly
-        // below that instant. Equality (a tie) stops the run at zero
-        // events, and the per-event chooser above then resolves it with
-        // its own exact semantics. NaN keys sort last in the per-event
-        // `total_cmp` order, so they never tighten the cap.
-        let mut bound = cap.unwrap_or(f64::INFINITY);
-        for (j, e) in self.replicas.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            if let Some(t) = e.next_event_time() {
-                let ts = t.as_secs();
-                if !ts.is_nan() {
-                    bound = bound.min(ts);
-                }
-            }
-        }
-        self.replicas[i].step_run(Some(bound))
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] is a seeded, time-ordered schedule of failures —
 //! replica crashes, transient slowdown windows, and routing timeouts —
-//! injected into [`crate::routing::ClusterSim`] through its fleet core.
-//! Faults fire as ordinary timers in the global event order, so the fast
-//! paths and the spec ([`crate::routing::ClusterSim::set_spec`]) stay
+//! injected into [`crate::routing::ClusterSim`]. Faults fire as
+//! ordinary timers in the global event order, so the fast path and the
+//! spec ([`crate::routing::ClusterSim::set_spec`]) stay
 //! byte-identical under the same plan.
 //!
 //! The recovery model follows production inference fleets: a crash

@@ -21,43 +21,7 @@ use sp_metrics::{
     RequestClass, RequestFaultKind, RoutingDecision, SimTime,
 };
 use sp_workload::{Request, Trace};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-/// A totally ordered next-event instant — the event calendar's sort key.
-///
-/// Wraps the raw seconds with [`f64::total_cmp`] so a pathological node
-/// reporting a NaN next-event time sorts *after* every finite instant
-/// (and after infinity) instead of panicking the comparison, and so the
-/// ordering is a genuine `Ord` the binary heap can rely on.
-#[derive(Debug, Clone, Copy)]
-struct EventKey(f64);
-
-impl EventKey {
-    fn of(t: SimTime) -> EventKey {
-        EventKey(t.as_secs())
-    }
-}
-
-impl PartialEq for EventKey {
-    fn eq(&self, other: &EventKey) -> bool {
-        self.0.total_cmp(&other.0).is_eq()
-    }
-}
-
-impl Eq for EventKey {}
-
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &EventKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventKey {
-    fn cmp(&self, other: &EventKey) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+use std::collections::HashMap;
 
 /// Picks a replica for each request as it arrives.
 ///
@@ -408,18 +372,13 @@ enum SlotState {
 }
 
 /// One replica slot. Slots are *stable*: a retired replica's slot is
-/// never shifted out from under live calendar entries — the node is
-/// taken out, the generation bumps, and a later scale-out may install a
-/// new tenant in the same slot. Routing decisions and load samples
-/// record slot indices, so replica identities in reports stay stable
-/// across the whole run.
+/// never shifted out from under the others — the node is taken out, and
+/// a later scale-out may install a new tenant in the same slot. Routing
+/// decisions and load samples record slot indices, so replica
+/// identities in reports stay stable across the whole run.
 #[derive(Debug)]
 struct Slot<N> {
     node: Option<N>,
-    /// Tenancy generation: bumped when a tenant retires, so calendar
-    /// entries published by a dead tenant can never alias a new tenant
-    /// in the same slot (see [`ClusterSim`]'s calendar docs).
-    gen: u64,
     state: SlotState,
 }
 
@@ -451,10 +410,10 @@ enum TimerChoice {
     Retry,
 }
 
-/// Fault-injection state carried by the fleet core. Fault timers
+/// Fault-injection state carried by [`ClusterSim`]. Fault timers
 /// interleave with node events through the simulation's event loops —
-/// never behind the calendar's back — so the fast paths and the spec
-/// stay byte-identical under the same plan.
+/// the windows are cut at each pending timer — so the fast path and the
+/// spec stay byte-identical under the same plan.
 #[derive(Debug)]
 struct FaultState {
     /// The schedule, in firing order; `cursor` is the next unfired event.
@@ -544,14 +503,59 @@ impl FaultState {
     }
 }
 
-/// The lifecycle-aware fleet core of [`ClusterSim`]: slots, routing,
-/// autoscaling decisions, lifecycle bookkeeping and report assembly.
-/// The fast paths and the spec (see [`ClusterSim::set_spec`]) differ
-/// *only* in how they find and step pending events, never in this
-/// state, so the byte-identity properties between them pin exactly the
-/// calendar and the window engine — scale events included.
+/// Event-driven multi-replica co-simulation.
+///
+/// Replicas advance in global simulated-time order; each request is
+/// dispatched *at its arrival instant* to the replica the
+/// [`RoutingPolicy`] picks from live `outstanding_tokens`. The merged
+/// report carries the routing decision trail and a per-replica load time
+/// series sampled at every dispatch.
+///
+/// Attach an [`Autoscaler`] with [`ClusterSim::with_autoscaler`] to let
+/// a [`crate::autoscale::ScalePolicy`] grow and shrink the fleet
+/// mid-trace on the load signal (scale-out with a cold-start delay,
+/// drain-then-retire on the way down); the report then also carries the
+/// replica lifecycle timeline and its replica-seconds cost accounting.
+///
+/// Two loops find and step pending events. The fast path advances
+/// replicas in *horizon windows*: between two coordination events (a
+/// dispatch arrival or a fault timer — the only events that touch
+/// cross-replica state) every replica steps on its own up to the
+/// window's cap, concurrently when [`ClusterSim::set_threads`] allows,
+/// and the per-slot outcomes merge back in `(instant, slot)` order. The
+/// executable spec ([`ClusterSim::set_spec`]) and the per-event
+/// [`ClusterSim::step_once`] instead step one event at a time, each
+/// found by an O(R) rescan of every slot. Both share the slots, routing,
+/// lifecycle and fault state below, so the byte-identity properties
+/// between them pin exactly the window engine — scale events included.
+///
+/// # Examples
+///
+/// ```
+/// use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
+/// use sp_engine::routing::{ClusterSim, RoutingKind};
+/// use sp_engine::{Engine, EngineConfig};
+/// use sp_model::presets;
+/// use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
+/// use sp_workload::synthetic;
+///
+/// let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
+/// let replicas = (0..2)
+///     .map(|_| {
+///         Engine::new(
+///             ExecutionModel::new(node, presets::qwen_32b()),
+///             Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
+///             EngineConfig::default(),
+///         )
+///     })
+///     .collect();
+/// let mut sim = ClusterSim::new(replicas, RoutingKind::default().policy());
+/// let report = sim.run(&synthetic::poisson(8, 4.0, 512, 8, 1));
+/// assert_eq!(report.records().len(), 8);
+/// assert_eq!(report.routing_decisions().len(), 8);
+/// ```
 #[derive(Debug)]
-struct Fleet<N> {
+pub struct ClusterSim<N: SimNode> {
     slots: Vec<Slot<N>>,
     policy: Box<dyn RoutingPolicy>,
     throughput_bin: Dur,
@@ -573,92 +577,41 @@ struct Fleet<N> {
     /// map, reused to keep the dispatch hot path allocation-free.
     scratch_loads: Vec<NodeLoad>,
     scratch_slots: Vec<usize>,
+    /// Fan-out width for horizon-parallel windows (see
+    /// [`ClusterSim::set_threads`]); `1` steps windows inline.
+    threads: usize,
+    /// Runs the simulation as its executable specification (see
+    /// [`ClusterSim::set_spec`]).
+    spec: bool,
+    /// Scratch buffers for window stepping, reused across windows to
+    /// keep the hot path allocation-free.
+    window_pending: Vec<usize>,
+    window_outcomes: Vec<WindowOutcome>,
+    window_retires: Vec<(SimTime, usize)>,
+    /// Fan-out result buffer for [`sp_core::map_into`], reused across
+    /// windows like the other scratch — the per-window allocation was
+    /// the last one on the horizon-parallel hot path.
+    window_results: Vec<(Option<WindowOutcome>, bool)>,
 }
 
-impl<N: SimNode> Fleet<N> {
-    fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> Fleet<N> {
-        assert!(!nodes.is_empty(), "cluster simulation needs at least one node");
-        let mut timeline = FleetTimeline::new();
-        let slots: Vec<Slot<N>> = nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, n)| {
-                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Spawned);
-                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Ready);
-                Slot { node: Some(n), gen: 0, state: SlotState::Active }
-            })
-            .collect();
-        Fleet {
-            slots,
-            policy,
-            throughput_bin: Dur::from_secs(1.0),
-            decisions: Vec::new(),
-            load_series: ReplicaLoadSeries::new(),
-            timeline,
-            retired: Vec::new(),
-            autoscaler: None,
-            faults: None,
-            scratch_loads: Vec::new(),
-            scratch_slots: Vec::new(),
-        }
-    }
-
-    fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Provisioned replicas: slots currently holding a node (routable,
-    /// warming or draining).
-    fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.node.is_some()).count()
-    }
-
-    /// Routable replicas: provisioned and in the `Active` state.
-    fn routable_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.node.is_some() && matches!(s.state, SlotState::Active))
-            .count()
-    }
-
-    fn gen(&self, i: usize) -> u64 {
-        self.slots[i].gen
-    }
-
+impl<N: SimNode> ClusterSim<N> {
     fn next_event_of(&self, i: usize) -> Option<SimTime> {
         self.slots[i].node.as_ref().and_then(SimNode::next_event_time)
     }
 
-    /// Linear rescanning next-event query over live slots: O(R) per
-    /// event. Ties break to the lowest slot index (`min_by` keeps the
-    /// first minimum) and times compare with `total_cmp`, matching the
-    /// calendar's key order.
-    fn earliest_linear(&self) -> Option<usize> {
+    /// The slot with the earliest pending node event, and its instant:
+    /// an O(R) rescan of every slot. Instants compare with `total_cmp`
+    /// (a NaN orders instead of panicking) and ties resolve to the
+    /// lowest slot index (`min_by` keeps the first minimum), so the
+    /// stepping order — and every downstream report — is deterministic.
+    fn earliest(&self) -> Option<(usize, SimTime)> {
         (0..self.slots.len())
             .filter_map(|i| self.next_event_of(i).map(|t| (i, t)))
             .min_by(|a, b| a.1.as_secs().total_cmp(&b.1.as_secs()))
-            .map(|(i, _)| i)
     }
 
-    fn step(&mut self, i: usize) {
-        if let Some(n) = self.slots[i].node.as_mut() {
-            n.step_once();
-        }
-    }
-
-    /// Post-step lifecycle hook: a draining slot whose final event just
-    /// fired (at instant `t`) retires on the spot, and the fault clock
-    /// advances to the event's instant.
-    fn after_step(&mut self, i: usize, t: SimTime) {
-        if let Some(f) = self.faults.as_mut() {
-            f.now = f.now.max(t);
-        }
-        self.maybe_retire(i, t);
-    }
-
-    /// Retires slot `i` if it is draining and idle: takes its report,
-    /// removes the node, bumps the tenancy generation. Returns whether
-    /// it retired.
+    /// Retires slot `i` if it is draining and idle: takes its report and
+    /// removes the node. Returns whether it retired.
     fn maybe_retire(&mut self, i: usize, at: SimTime) -> bool {
         if self.slots[i].state != SlotState::Draining {
             return false;
@@ -672,7 +625,6 @@ impl<N: SimNode> Fleet<N> {
         }
         let mut node = self.slots[i].node.take().expect("draining slot holds a node");
         self.retired.push(node.take_report());
-        self.slots[i].gen += 1;
         self.slots[i].state = SlotState::Active;
         self.timeline.record(i, at, ReplicaEventKind::Retired);
         true
@@ -688,7 +640,7 @@ impl<N: SimNode> Fleet<N> {
             f.crash_deficit = f.crash_deficit.saturating_sub(1);
         }
         let config = self.autoscaler.as_ref().expect("spawn requires an autoscaler").config;
-        if self.live_count() >= config.max_replicas {
+        if self.node_count() >= config.max_replicas {
             return;
         }
         let node = {
@@ -700,7 +652,7 @@ impl<N: SimNode> Fleet<N> {
         let i = match self.slots.iter().position(|s| s.node.is_none()) {
             Some(i) => i,
             None => {
-                self.slots.push(Slot { node: None, gen: 0, state: SlotState::Active });
+                self.slots.push(Slot { node: None, state: SlotState::Active });
                 self.slots.len() - 1
             }
         };
@@ -832,9 +784,9 @@ impl<N: SimNode> Fleet<N> {
     }
 
     /// Dispatches one request at instant `now`: lifecycle work, then
-    /// routing, then enqueue. Returns the chosen slot, or `None` when a
-    /// fault consumed the dispatch (armed route timeout, or no routable
-    /// replica left) and the request re-entered under the retry policy.
+    /// routing, then enqueue. Returns `false` when a fault consumed the
+    /// dispatch (armed route timeout, or no routable replica left) and
+    /// the request re-entered under the retry policy.
     ///
     /// With faults attached, the enqueued copy's `arrival` is clamped to
     /// the fault clock (engines require nondecreasing arrivals, and
@@ -842,12 +794,12 @@ impl<N: SimNode> Fleet<N> {
     /// arrival is remembered and patched back at report time. Without
     /// faults the clamp never fires and this is exactly the pre-fault
     /// dispatch path.
-    fn dispatch(&mut self, req: Request, now: SimTime) -> Option<usize> {
+    fn dispatch(&mut self, req: Request, now: SimTime) -> bool {
         self.pre_dispatch(now);
         if self.faults.is_none() {
             let slot = self.route(&req);
             self.push_to(slot, req);
-            return Some(slot);
+            return true;
         }
         {
             let f = self.faults.as_mut().expect("checked above");
@@ -855,7 +807,7 @@ impl<N: SimNode> Fleet<N> {
             if f.route_timeout_armed {
                 f.route_timeout_armed = false;
                 self.requeue_after_fault(req, now);
-                return None;
+                return false;
             }
         }
         if self.routable_count() == 0 {
@@ -863,7 +815,7 @@ impl<N: SimNode> Fleet<N> {
             // The request waits out a backoff and tries again — by then
             // the autoscaler may have replaced the losses.
             self.requeue_after_fault(req, now);
-            return None;
+            return false;
         }
         let slot = self.route(&req);
         let f = self.faults.as_mut().expect("checked above");
@@ -874,7 +826,7 @@ impl<N: SimNode> Fleet<N> {
             req
         };
         self.push_to(slot, push);
-        Some(slot)
+        true
     }
 
     /// Re-enters a fault-displaced request under the retry policy:
@@ -908,8 +860,8 @@ impl<N: SimNode> Fleet<N> {
     /// (completed work survives), its unfinished requests are salvaged
     /// into the retry queue with their prefill progress written off (the
     /// KV cache died with the replica), and the slot retires *without*
-    /// draining — the generation bump tombstones its calendar keys
-    /// exactly like the retire path. Crashing an empty slot is a no-op.
+    /// draining, freeing it for a later spawn exactly like the retire
+    /// path. Crashing an empty slot is a no-op.
     fn crash(&mut self, i: usize, at: SimTime) {
         if i >= self.slots.len() || self.slots[i].node.is_none() {
             return;
@@ -917,7 +869,6 @@ impl<N: SimNode> Fleet<N> {
         let mut node = self.slots[i].node.take().expect("checked above");
         let salvage = node.take_unfinished();
         self.retired.push(node.take_report());
-        self.slots[i].gen += 1;
         self.slots[i].state = SlotState::Active;
         self.timeline.record(i, at, ReplicaEventKind::Crashed);
         self.timeline.note_wasted_prefill(salvage.wasted_prefill_tokens);
@@ -941,11 +892,11 @@ impl<N: SimNode> Fleet<N> {
         self.faults.as_ref().and_then(FaultState::peek_timer).map(|(t, _)| t)
     }
 
-    /// Fires exactly the earliest fault timer. Returns the slot whose
-    /// next-event key may have changed (the crash victim, or the slot a
-    /// retry was redelivered to) so the calendar can republish it.
-    fn fire_next_timer(&mut self) -> Option<usize> {
-        let (tt, choice) = self.faults.as_ref().and_then(FaultState::peek_timer)?;
+    /// Fires exactly the earliest fault timer, if any.
+    fn fire_timer(&mut self) {
+        let Some((tt, choice)) = self.faults.as_ref().and_then(FaultState::peek_timer) else {
+            return;
+        };
         let f = self.faults.as_mut().expect("peeked above");
         f.now = f.now.max(tt);
         match choice {
@@ -953,28 +904,17 @@ impl<N: SimNode> Fleet<N> {
                 let event = f.plan[f.cursor];
                 f.cursor += 1;
                 match event.fault {
-                    Fault::Crash { replica } => {
-                        self.crash(replica, tt);
-                        // An out-of-range target was a no-op: nothing to
-                        // republish in the calendar.
-                        (replica < self.slots.len()).then_some(replica)
-                    }
+                    Fault::Crash { replica } => self.crash(replica, tt),
                     Fault::Slowdown { replica, factor, duration } => {
-                        if replica < self.slots.len() {
-                            if let Some(n) = self.slots[replica].node.as_mut() {
-                                n.set_slowdown(factor);
-                                let f = self.faults.as_mut().expect("fault state");
-                                // A new window replaces any open one.
-                                f.slow_until.retain(|&(_, s)| s != replica);
-                                f.slow_until.push((tt + duration, replica));
-                            }
+                        if let Some(n) = self.slots.get_mut(replica).and_then(|s| s.node.as_mut()) {
+                            n.set_slowdown(factor);
+                            let f = self.faults.as_mut().expect("fault state");
+                            // A new window replaces any open one.
+                            f.slow_until.retain(|&(_, s)| s != replica);
+                            f.slow_until.push((tt + duration, replica));
                         }
-                        None
                     }
-                    Fault::RouteTimeout => {
-                        f.route_timeout_armed = true;
-                        None
-                    }
+                    Fault::RouteTimeout => f.route_timeout_armed = true,
                 }
             }
             TimerChoice::SlowEnd(j) => {
@@ -982,7 +922,6 @@ impl<N: SimNode> Fleet<N> {
                 if let Some(n) = self.slots[slot].node.as_mut() {
                     n.set_slowdown(1.0);
                 }
-                None
             }
             TimerChoice::Retry => {
                 let p = f.pending.remove(0);
@@ -990,8 +929,7 @@ impl<N: SimNode> Fleet<N> {
                 // Full re-prefill: the cached prefix (and any prefix
                 // group sharing) died with the replica's KV cache.
                 let req = Request { arrival: tt, cached_prefix: 0, prefix_group: None, ..p.req };
-                let slot = self.dispatch(req, tt);
-                if slot.is_some() {
+                if self.dispatch(req, tt) {
                     self.timeline.record_request_fault(
                         p.req.id,
                         tt,
@@ -999,204 +937,19 @@ impl<N: SimNode> Fleet<N> {
                     );
                     self.timeline.note_recovery(tt.since(p.lost_at));
                 }
-                slot
             }
         }
-    }
-
-    /// Salvages every unfinished request in the fleet — live nodes'
-    /// queues plus the fault-retry queue — so a faulted fleet nested as
-    /// a node inside a larger simulation loses nothing when *it* is
-    /// crashed.
-    fn take_unfinished_all(&mut self) -> SalvagedWork {
-        let mut salvaged = SalvagedWork::default();
-        for slot in &mut self.slots {
-            if let Some(n) = slot.node.as_mut() {
-                let part = n.take_unfinished();
-                salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
-                salvaged.requests.extend(part.requests);
-            }
-        }
-        if let Some(f) = self.faults.as_mut() {
-            for p in f.pending.drain(..) {
-                salvaged.requests.push(p.req);
-            }
-            f.pending_tokens = 0;
-        }
-        salvaged
-    }
-
-    fn set_slowdown_all(&mut self, factor: f64) {
-        for slot in &mut self.slots {
-            if let Some(n) = slot.node.as_mut() {
-                n.set_slowdown(factor);
-            }
-        }
-    }
-
-    fn outstanding(&self) -> u64 {
-        let parked = self.faults.as_ref().map_or(0, |f| f.pending_tokens);
-        self.slots
-            .iter()
-            .filter_map(|s| s.node.as_ref())
-            .map(SimNode::outstanding_tokens)
-            .sum::<u64>()
-            + parked
-    }
-
-    fn aggregate_load(&self) -> NodeLoad {
-        let seed = NodeLoad { min_kv_free_tokens: u64::MAX, ..NodeLoad::default() };
-        self.slots.iter().filter_map(|s| s.node.as_ref()).map(SimNode::load).fold(seed, |acc, l| {
-            NodeLoad {
-                outstanding_tokens: acc.outstanding_tokens + l.outstanding_tokens,
-                queued_prefill_tokens: acc.queued_prefill_tokens + l.queued_prefill_tokens,
-                kv_free_tokens: acc.kv_free_tokens + l.kv_free_tokens,
-                min_kv_free_tokens: acc.min_kv_free_tokens.min(l.min_kv_free_tokens),
-                prefill_tokens_per_sec: acc.prefill_tokens_per_sec + l.prefill_tokens_per_sec,
-            }
-        })
-    }
-
-    /// Finalizes an incremental run: merges retired and live per-node
-    /// reports and attaches the accumulated decision trail, load samples
-    /// and lifecycle timeline (all reset). With faults attached, every
-    /// record whose `arrival` was rewritten (dispatch clamp or retry
-    /// redelivery) is patched back to its true arrival *before* the
-    /// merge replays it into the latency metrics, so TTFT and E2E count
-    /// the backoff the user actually waited; terminal failures ride
-    /// along via [`EngineReport::failed`].
-    fn take_report(&mut self) -> EngineReport {
-        let mut merged = EngineReport::new(self.throughput_bin);
-        let origin = self.faults.as_mut().map(|f| std::mem::take(&mut f.origin_arrival));
-        let mut reports = std::mem::take(&mut self.retired);
-        for s in &mut self.slots {
-            if let Some(n) = s.node.as_mut() {
-                reports.push(n.take_report());
-            }
-        }
-        for mut report in reports {
-            if let Some(origin) = &origin {
-                for r in report.records_mut() {
-                    if let Some(&arrival) = origin.get(&r.request_id) {
-                        r.arrival = arrival;
-                    }
-                }
-            }
-            merged.merge(report);
-        }
-        if let Some(f) = self.faults.as_mut() {
-            merged.note_failures(std::mem::take(&mut f.failed));
-            f.attempts.clear();
-        }
-        merged.set_routing(
-            std::mem::take(&mut self.decisions),
-            std::mem::take(&mut self.load_series),
-        );
-        merged.set_fleet_timeline(std::mem::take(&mut self.timeline));
-        merged
-    }
-
-    fn into_nodes(self) -> Vec<N> {
-        self.slots.into_iter().filter_map(|s| s.node).collect()
     }
 }
 
-/// Event-driven multi-replica co-simulation.
-///
-/// Replicas advance in global simulated-time order; each request is
-/// dispatched *at its arrival instant* to the replica the
-/// [`RoutingPolicy`] picks from live `outstanding_tokens`. The merged
-/// report carries the routing decision trail and a per-replica load time
-/// series sampled at every dispatch.
-///
-/// Attach an [`Autoscaler`] with [`ClusterSim::with_autoscaler`] to let
-/// a [`crate::autoscale::ScalePolicy`] grow and shrink the fleet
-/// mid-trace on the load signal (scale-out with a cold-start delay,
-/// drain-then-retire on the way down); the report then also carries the
-/// replica lifecycle timeline and its replica-seconds cost accounting.
-///
-/// # Examples
-///
-/// ```
-/// use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-/// use sp_engine::routing::{ClusterSim, RoutingKind};
-/// use sp_engine::{Engine, EngineConfig};
-/// use sp_model::presets;
-/// use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
-/// use sp_workload::synthetic;
-///
-/// let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-/// let replicas = (0..2)
-///     .map(|_| {
-///         Engine::new(
-///             ExecutionModel::new(node, presets::qwen_32b()),
-///             Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-///             EngineConfig::default(),
-///         )
-///     })
-///     .collect();
-/// let mut sim = ClusterSim::new(replicas, RoutingKind::default().policy());
-/// let report = sim.run(&synthetic::poisson(8, 4.0, 512, 8, 1));
-/// assert_eq!(report.records().len(), 8);
-/// assert_eq!(report.routing_decisions().len(), 8);
-/// ```
-#[derive(Debug)]
-pub struct ClusterSim<N: SimNode> {
-    fleet: Fleet<N>,
-    /// The event calendar: a min-heap of `(next_event_time, slot,
-    /// generation)` entries with *lazy invalidation*. Stepping or
-    /// feeding a slot pushes its fresh key instead of rewriting the old
-    /// entry; stale entries (whose key no longer matches the slot's live
-    /// `next_event_time`) are discarded when they surface at the top.
-    /// The key includes the slot index, so simultaneous events pop in
-    /// slot order — the same lowest-index tie-break the original linear
-    /// rescanning loop got from `min_by`, keeping every downstream
-    /// report byte-identical while next-event dispatch drops from O(R)
-    /// to O(log R).
-    ///
-    /// The *generation* tombstones entries across replica lifecycles:
-    /// when a draining replica retires, its published keys stay buried
-    /// in the heap, and a scale-out may install a new tenant in the same
-    /// slot whose next event happens to coincide with a dead entry's
-    /// key. Pure key matching would mistake that stale entry for live.
-    /// The tenancy generation (bumped at every retire) makes entries
-    /// from retired tenants compare unequal regardless of key
-    /// coincidences.
-    ///
-    /// Invariant (holds between public calls): every live slot's current
-    /// key is present, and the heap top is not stale — so read-only
-    /// peeks need no cleanup.
-    ///
-    /// `None` below [`LINEAR_SCAN_MAX_REPLICAS`] slots: at small fleet
-    /// sizes the heap's push/pop/settle traffic costs more than an O(R)
-    /// rescan (`Fleet::earliest_linear`, whose `total_cmp` + first-min
-    /// tie-break is the same total order as the heap key), so the
-    /// calendar degrades to the linear scan and upgrades to a heap the
-    /// moment a scale-out grows the slot vector past the threshold.
-    calendar: Option<BinaryHeap<Reverse<(EventKey, usize, u64)>>>,
-    /// Fan-out width for horizon-parallel windows (see
-    /// [`ClusterSim::set_threads`]); `1` steps windows inline.
-    threads: usize,
-    /// Runs the simulation as its executable specification (see
-    /// [`ClusterSim::set_spec`]).
-    spec: bool,
-    /// Scratch buffers for window stepping, reused across windows to
-    /// keep the hot path allocation-free.
-    window_pending: Vec<usize>,
-    window_outcomes: Vec<WindowOutcome>,
-    window_retires: Vec<(SimTime, usize)>,
-    /// Fan-out result buffer for [`sp_core::map_into`], reused across
-    /// windows like the other scratch — the per-window allocation was
-    /// the last one on the horizon-parallel hot path.
-    window_results: Vec<(Option<WindowOutcome>, bool)>,
+/// The globally earliest pending event of a [`ClusterSim`].
+#[derive(Debug, Clone, Copy)]
+enum NextEvent {
+    /// The earliest fault timer, due at this instant.
+    Timer(SimTime),
+    /// The earliest node event: `(slot, instant)`.
+    Node(usize, SimTime),
 }
-
-/// Replica-count threshold below which [`ClusterSim`] uses the linear
-/// rescanning `earliest` query instead of the heap calendar. Measured
-/// crossover: at 1–4 replicas the heap's settle traffic loses to the
-/// rescan (simperf's smoke `speedup_vs_reference` dipped to 0.93); by
-/// 16 replicas the heap wins clearly.
-const LINEAR_SCAN_MAX_REPLICAS: usize = 8;
 
 /// What bounds one horizon-parallel window.
 #[derive(Clone, Copy)]
@@ -1209,7 +962,7 @@ enum WindowCap {
     /// aborts the window for a sequential fallback — the sequential
     /// loop's `t >= horizon` break is false for NaN, and whether it
     /// steps a NaN node depends on *other* slots' keys (NaN sorts last
-    /// in the calendar order), which a per-slot worker cannot see.
+    /// in the global event order), which a per-slot worker cannot see.
     FaultFree(f64),
     /// Faulted advance: step while `t < cap` — NaN simply stops the
     /// slot, exactly like the sequential faulted loop's
@@ -1222,7 +975,7 @@ enum WindowCap {
 struct WindowOutcome {
     slot: usize,
     /// Instant of the last event stepped (retire candidates use it as
-    /// their retire instant, matching the sequential `after_step`).
+    /// their retire instant, matching the sequential `step_node`).
     last: SimTime,
     /// Max event instant stepped — folded into the fault clock `f.now`
     /// (per-slot max of maxes equals the sequential running max).
@@ -1272,9 +1025,8 @@ fn step_slot<N: SimNode>(node: &mut N, cap: WindowCap) -> (Option<WindowOutcome>
         }
         // Try a fast-forward run first: the node advances a whole
         // steady-state stretch in one call (re-checking the cap per
-        // event internally), and the calendar republishes once per run
-        // instead of once per event. Run instants are nondecreasing, so
-        // folding the run's final instant equals folding each one.
+        // event internally). Run instants are nondecreasing, so folding
+        // the run's final instant equals folding each one.
         let capf = match cap {
             WindowCap::Unbounded => None,
             WindowCap::FaultFree(c) | WindowCap::Faulted(c) => Some(c),
@@ -1316,22 +1068,36 @@ impl<N: SimNode> ClusterSim<N> {
     ///
     /// Panics if `nodes` is empty.
     pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ClusterSim<N> {
-        let calendar =
-            if nodes.len() > LINEAR_SCAN_MAX_REPLICAS { Some(BinaryHeap::new()) } else { None };
-        let mut sim = ClusterSim {
-            fleet: Fleet::new(nodes, policy),
-            calendar,
+        assert!(!nodes.is_empty(), "cluster simulation needs at least one node");
+        let mut timeline = FleetTimeline::new();
+        let slots = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| {
+                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Spawned);
+                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Ready);
+                Slot { node: Some(n), state: SlotState::Active }
+            })
+            .collect();
+        ClusterSim {
+            slots,
+            policy,
+            throughput_bin: Dur::from_secs(1.0),
+            decisions: Vec::new(),
+            load_series: ReplicaLoadSeries::new(),
+            timeline,
+            retired: Vec::new(),
+            autoscaler: None,
+            faults: None,
+            scratch_loads: Vec::new(),
+            scratch_slots: Vec::new(),
             threads: sp_core::default_threads(),
             spec: false,
             window_pending: Vec::new(),
             window_outcomes: Vec::new(),
             window_retires: Vec::new(),
             window_results: Vec::new(),
-        };
-        for i in 0..sim.fleet.slot_count() {
-            sim.reschedule(i);
         }
-        sim
     }
 
     /// Sets the fan-out width for horizon-parallel windows (clamped to
@@ -1355,21 +1121,16 @@ impl<N: SimNode> ClusterSim<N> {
     }
 
     /// Switches the co-simulation to its executable specification: one
-    /// event at a time in global time order, every `earliest` query a
-    /// linear rescan of all slots (no heap calendar), no horizon windows
-    /// and no [`SimNode::step_run`] macro-steps. Reports are
-    /// byte-identical either way — only the cost differs. Combine with
-    /// spec-mode nodes ([`Engine::set_spec`]) for the full reference
-    /// stack. Consumed by the equivalence tests and the `simperf` bench;
-    /// not part of the supported API.
+    /// event at a time in global time order, each found by a linear
+    /// rescan of all slots, with no horizon windows and no
+    /// [`SimNode::step_run`] macro-steps. Reports are byte-identical
+    /// either way — only the cost differs. Combine with spec-mode nodes
+    /// ([`Engine::set_spec`]) for the full reference stack. Consumed by
+    /// the equivalence tests and the `simperf` bench; not part of the
+    /// supported API.
     #[doc(hidden)]
     pub fn set_spec(&mut self, spec: bool) {
         self.spec = spec;
-        if spec {
-            self.calendar = None;
-        } else {
-            self.maybe_upgrade_calendar();
-        }
     }
 
     /// Attaches an autoscaler: at every dispatch instant its
@@ -1378,7 +1139,7 @@ impl<N: SimNode> ClusterSim<N> {
     /// delay) or drain-then-retire them. Without this, the fleet is
     /// fixed and dispatch behaves exactly as before.
     pub fn with_autoscaler(mut self, scaler: Autoscaler<N>) -> ClusterSim<N> {
-        self.fleet.autoscaler = Some(scaler);
+        self.autoscaler = Some(scaler);
         self
     }
 
@@ -1388,143 +1149,74 @@ impl<N: SimNode> ClusterSim<N> {
     /// crash/redispatch/failure accounting. Injecting
     /// [`FaultPlan::empty`] is byte-identical to no injection.
     pub fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> ClusterSim<N> {
-        self.fleet.faults = Some(FaultState::new(plan, retry));
+        self.faults = Some(FaultState::new(plan, retry));
         self
     }
 
     /// Sets the merged report's throughput bin width (default 1 s).
     pub fn throughput_bin(mut self, bin: Dur) -> ClusterSim<N> {
-        self.fleet.throughput_bin = bin;
+        self.throughput_bin = bin;
         self
     }
 
     /// Number of provisioned nodes (routable, warming or draining).
     pub fn node_count(&self) -> usize {
-        self.fleet.live_count()
+        self.slots.iter().filter(|s| s.node.is_some()).count()
     }
 
     /// Number of routable nodes (provisioned and past warmup, not
     /// draining). Equals [`ClusterSim::node_count`] without an
     /// autoscaler.
     pub fn routable_count(&self) -> usize {
-        self.fleet.routable_count()
+        self.slots
+            .iter()
+            .filter(|s| s.node.is_some() && matches!(s.state, SlotState::Active))
+            .count()
     }
 
     /// The routing policy's name.
     pub fn policy_name(&self) -> &str {
-        self.fleet.policy.name()
+        self.policy.name()
     }
 
     /// Consumes the simulation, returning its live nodes.
     pub fn into_nodes(self) -> Vec<N> {
-        self.fleet.into_nodes()
+        self.slots.into_iter().filter_map(|s| s.node).collect()
     }
 
-    /// Publishes slot `i`'s current next-event key on the calendar. Must
-    /// be called after every operation that may change the slot's next
-    /// event (stepping it, feeding it a request, installing or retiring
-    /// a tenant); the key it superseded becomes stale and is lazily
-    /// discarded by [`ClusterSim::settle`].
-    fn reschedule(&mut self, i: usize) {
-        let Some(cal) = self.calendar.as_mut() else { return };
-        let _cal_span = sp_core::profile::start(sp_core::profile::Phase::Calendar);
-        if let Some(key) = self.fleet.next_event_of(i).map(EventKey::of) {
-            cal.push(Reverse((key, i, self.fleet.gen(i))));
+    /// Steps slot `i`'s pending event at instant `t`, then advances the
+    /// fault clock to `t` and retires the slot on the spot if it is
+    /// draining and that was its final event.
+    fn step_node(&mut self, i: usize, t: SimTime) {
+        self.slots[i].node.as_mut().expect("stepped slot holds a node").step_once();
+        if let Some(f) = self.faults.as_mut() {
+            f.now = f.now.max(t);
         }
+        self.maybe_retire(i, t);
     }
 
-    /// Upgrades the linear-scan `earliest` to the heap calendar once a
-    /// scale-out grows the slot vector past
-    /// [`LINEAR_SCAN_MAX_REPLICAS`]. Slots never shrink, so the upgrade
-    /// is one-way. Must run after any operation that can spawn (dispatch
-    /// and timer fires, both of which run autoscaler actions).
-    fn maybe_upgrade_calendar(&mut self) {
-        if self.spec
-            || self.calendar.is_some()
-            || self.fleet.slot_count() <= LINEAR_SCAN_MAX_REPLICAS
-        {
-            return;
-        }
-        self.calendar = Some(BinaryHeap::with_capacity(self.fleet.slot_count() * 2));
-        for i in 0..self.fleet.slot_count() {
-            self.reschedule(i);
-        }
-    }
-
-    /// Discards stale calendar entries until the top is live (same
-    /// tenancy generation, key matches the slot's current
-    /// `next_event_time`) or the calendar is empty. Every mutating
-    /// public method ends with a settled calendar, so read-only peeks
-    /// ([`ClusterSim::next_event_time`]) stay `&self`.
-    fn settle(&mut self) {
-        let Some(cal) = self.calendar.as_mut() else { return };
-        let _cal_span = sp_core::profile::start(sp_core::profile::Phase::Calendar);
-        while let Some(&Reverse((key, i, gen))) = cal.peek() {
-            if self.fleet.gen(i) == gen
-                && self.fleet.next_event_of(i).map(EventKey::of) == Some(key)
-            {
-                break;
+    /// The globally earliest pending event: a fault timer fires before
+    /// any node event at the same instant.
+    fn next_event(&self) -> Option<NextEvent> {
+        let node = self.earliest();
+        if let Some(tt) = self.next_timer_time() {
+            if node.is_none_or(|(_, nt)| tt.as_secs().total_cmp(&nt.as_secs()).is_le()) {
+                return Some(NextEvent::Timer(tt));
             }
-            cal.pop();
         }
-    }
-
-    /// Index of the slot with the earliest pending event, if any,
-    /// settling the calendar first. Simultaneous events resolve to the
-    /// lowest slot index (the index is part of the heap key), so
-    /// stepping order — and therefore every downstream report — is
-    /// deterministic and identical to the reference linear rescanning
-    /// loop's `min_by` tie-break.
-    fn earliest(&mut self) -> Option<usize> {
-        if self.calendar.is_none() {
-            return self.fleet.earliest_linear();
-        }
-        self.settle();
-        self.calendar.as_ref().and_then(|cal| cal.peek().map(|&Reverse((_, i, _))| i))
-    }
-
-    /// Steps slot `i` by one event, runs the post-step lifecycle hook
-    /// (a drained-dry replica retires at the event's instant), and
-    /// republishes the slot's calendar key.
-    fn step_node(&mut self, i: usize) {
-        let t = self.fleet.next_event_of(i);
-        self.fleet.step(i);
-        if let Some(t) = t {
-            self.fleet.after_step(i, t);
-        }
-        self.reschedule(i);
-    }
-
-    /// Fires the earliest fault timer and republishes whatever slot key
-    /// it may have touched.
-    fn fire_timer(&mut self) {
-        if let Some(slot) = self.fleet.fire_next_timer() {
-            self.reschedule(slot);
-        }
-        self.settle();
+        node.map(|(i, t)| NextEvent::Node(i, t))
     }
 
     /// Steps the single globally earliest event — fault timer or node
     /// event, timers first on ties. Returns `false` when nothing is
     /// pending.
     fn step_event(&mut self) -> bool {
-        let node = self.earliest();
-        let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-        let timer_first = match (self.fleet.next_timer_time(), node_t) {
-            (Some(_), None) => true,
-            (Some(tt), Some(nt)) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-            (None, _) => false,
-        };
-        if timer_first {
-            self.fire_timer();
-            return true;
+        match self.next_event() {
+            Some(NextEvent::Timer(_)) => self.fire_timer(),
+            Some(NextEvent::Node(i, t)) => self.step_node(i, t),
+            None => return false,
         }
-        if let Some(i) = node {
-            self.step_node(i);
-            self.settle();
-            return true;
-        }
-        false
+        true
     }
 
     /// Steps every slot up to `horizon` (see [`WindowCap`] for the exact
@@ -1545,11 +1237,11 @@ impl<N: SimNode> ClusterSim<N> {
     /// coordinator. Byte-identical to
     /// [`ClusterSim::advance_to_sequential`] for any thread count.
     fn advance_to_windowed(&mut self, horizon: SimTime) {
-        if self.fleet.faults.is_none() {
+        if self.faults.is_none() {
             if self.step_window(WindowCap::FaultFree(horizon.as_secs())) {
                 // A NaN-keyed event surfaced: whether the sequential
-                // loop steps it depends on the *global* calendar order,
-                // so replay the remainder sequentially.
+                // loop steps it depends on the *global* event order, so
+                // replay the remainder sequentially.
                 self.advance_to_sequential(horizon);
             }
             return;
@@ -1560,11 +1252,10 @@ impl<N: SimNode> ClusterSim<N> {
             // timer fires or a dispatch runs, and the clamped redelivery
             // instant `max(at, f.now)` cannot move while every stepped
             // event is earlier than it. So one query per window suffices.
-            match self.fleet.next_timer_time() {
+            match self.next_timer_time() {
                 Some(tt) if tt.as_secs() <= horizon.as_secs() => {
                     self.step_window(WindowCap::Faulted(tt.as_secs()));
                     self.fire_timer();
-                    self.maybe_upgrade_calendar();
                 }
                 _ => {
                     self.step_window(WindowCap::Faulted(horizon.as_secs()));
@@ -1578,17 +1269,16 @@ impl<N: SimNode> ClusterSim<N> {
     /// (concurrently when `threads > 1`), then merges the per-slot
     /// results back into the global order — drained-dry draining slots
     /// retire sorted by (instant, slot), exactly the order the
-    /// sequential loop would have retired them in; the fault clock
-    /// advances to the max stepped instant; stepped slots republish
-    /// their calendar keys. Returns whether a NaN-keyed event aborted a
-    /// [`WindowCap::FaultFree`] window.
+    /// sequential loop would have retired them in, and the fault clock
+    /// advances to the max stepped instant. Returns whether a NaN-keyed
+    /// event aborted a [`WindowCap::FaultFree`] window.
     fn step_window(&mut self, cap: WindowCap) -> bool {
         let mut outcomes = std::mem::take(&mut self.window_outcomes);
         outcomes.clear();
         let mut saw_nan = false;
         if self.threads <= 1 {
-            for i in 0..self.fleet.slots.len() {
-                let Some(node) = self.fleet.slots[i].node.as_mut() else { continue };
+            for i in 0..self.slots.len() {
+                let Some(node) = self.slots[i].node.as_mut() else { continue };
                 let (outcome, nan) = step_slot(node, cap);
                 saw_nan |= nan;
                 if let Some(mut o) = outcome {
@@ -1599,10 +1289,8 @@ impl<N: SimNode> ClusterSim<N> {
         } else {
             let mut pending = std::mem::take(&mut self.window_pending);
             pending.clear();
-            pending.extend(
-                (0..self.fleet.slots.len()).filter(|&i| self.fleet.next_event_of(i).is_some()),
-            );
-            let base = SlotsPtr(self.fleet.slots.as_mut_ptr());
+            pending.extend((0..self.slots.len()).filter(|&i| self.next_event_of(i).is_some()));
+            let base = SlotsPtr(self.slots.as_mut_ptr());
             let mut results = std::mem::take(&mut self.window_results);
             sp_core::map_into(
                 self.threads,
@@ -1638,7 +1326,7 @@ impl<N: SimNode> ClusterSim<N> {
 
         // Merge: fault clock first (retires and timer clamps read it),
         // then retires in (instant, slot) order — the global order the
-        // sequential loop's `after_step` would have used.
+        // sequential loop's `step_node` would have used.
         let _merge_span = sp_core::profile::start(sp_core::profile::Phase::Merge);
         let mut hi: Option<SimTime> = None;
         for o in &outcomes {
@@ -1647,27 +1335,22 @@ impl<N: SimNode> ClusterSim<N> {
                 None => o.hi,
             });
         }
-        if let (Some(f), Some(hi)) = (self.fleet.faults.as_mut(), hi) {
+        if let (Some(f), Some(hi)) = (self.faults.as_mut(), hi) {
             f.now = f.now.max(hi);
         }
         let mut retires = std::mem::take(&mut self.window_retires);
         retires.clear();
         for o in &outcomes {
-            let slot = &self.fleet.slots[o.slot];
-            if slot.state == SlotState::Draining {
+            if self.slots[o.slot].state == SlotState::Draining {
                 retires.push((o.last, o.slot));
             }
         }
         retires.sort_by(sp_metrics::window_event_order);
         for &(t, i) in &retires {
-            self.fleet.maybe_retire(i, t);
+            self.maybe_retire(i, t);
         }
         self.window_retires = retires;
-        for o in &outcomes {
-            self.reschedule(o.slot);
-        }
         self.window_outcomes = outcomes;
-        self.settle();
         saw_nan
     }
 
@@ -1679,36 +1362,26 @@ impl<N: SimNode> ClusterSim<N> {
     /// horizon too, so a crash scheduled exactly at an arrival instant
     /// lands before that dispatch.
     fn advance_to_sequential(&mut self, horizon: SimTime) {
-        if self.fleet.faults.is_none() {
-            while let Some(i) = self.earliest() {
-                let t = self.fleet.next_event_of(i).expect("earliest implies event");
+        if self.faults.is_none() {
+            while let Some((i, t)) = self.earliest() {
                 if t.as_secs() >= horizon.as_secs() {
                     break;
                 }
-                self.step_node(i);
+                self.step_node(i, t);
             }
-            self.settle();
             return;
         }
         loop {
-            let node = self.earliest();
-            let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-            if let Some(tt) = self.fleet.next_timer_time() {
-                let timer_first = match node_t {
-                    Some(nt) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-                    None => true,
-                };
-                if timer_first && tt.as_secs() <= horizon.as_secs() {
+            match self.next_event() {
+                Some(NextEvent::Timer(tt)) if tt.as_secs() <= horizon.as_secs() => {
                     self.fire_timer();
-                    continue;
                 }
-            }
-            match (node, node_t) {
-                (Some(i), Some(t)) if t.as_secs() < horizon.as_secs() => self.step_node(i),
+                Some(NextEvent::Node(i, t)) if t.as_secs() < horizon.as_secs() => {
+                    self.step_node(i, t);
+                }
                 _ => break,
             }
         }
-        self.settle();
     }
 
     /// Dispatches one request at its arrival instant: advances every
@@ -1721,11 +1394,7 @@ impl<N: SimNode> ClusterSim<N> {
         // Bring every node's local clock up to this arrival so the load
         // signal reflects work actually still outstanding now.
         self.advance_to(req.arrival);
-        if let Some(slot) = self.fleet.dispatch(req, req.arrival) {
-            self.reschedule(slot);
-        }
-        self.maybe_upgrade_calendar();
-        self.settle();
+        self.dispatch(req, req.arrival);
     }
 
     /// Advances the cluster by one event — the globally earliest node
@@ -1738,25 +1407,21 @@ impl<N: SimNode> ClusterSim<N> {
     /// Instant of the cluster's next event (the earliest node event or
     /// fault timer), or `None` when all idle.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        // The calendar is settled at rest, so its top (when present) is a
-        // live `(key, slot, gen)` triple; below the linear-scan
-        // threshold there is no calendar and the rescan answers directly.
-        let node = match &self.calendar {
-            Some(cal) => cal.peek().and_then(|&Reverse((_, i, _))| self.fleet.next_event_of(i)),
-            None => self.fleet.earliest_linear().and_then(|i| self.fleet.next_event_of(i)),
-        };
-        match (self.fleet.next_timer_time(), node) {
-            (Some(tt), Some(nt)) => {
-                Some(if tt.as_secs().total_cmp(&nt.as_secs()).is_le() { tt } else { nt })
-            }
-            (Some(tt), None) => Some(tt),
-            (None, node) => node,
-        }
+        self.next_event().map(|e| match e {
+            NextEvent::Timer(t) | NextEvent::Node(_, t) => t,
+        })
     }
 
-    /// Total outstanding work across live nodes, in tokens.
+    /// Total outstanding work across live nodes plus requests parked
+    /// behind a retry backoff, in tokens.
     pub fn outstanding_tokens(&self) -> u64 {
-        self.fleet.outstanding()
+        let parked = self.faults.as_ref().map_or(0, |f| f.pending_tokens);
+        self.slots
+            .iter()
+            .filter_map(|s| s.node.as_ref())
+            .map(SimNode::outstanding_tokens)
+            .sum::<u64>()
+            + parked
     }
 
     /// Aggregate load: sums across nodes (capacity-style signals add;
@@ -1767,14 +1432,55 @@ impl<N: SimNode> ClusterSim<N> {
     /// `kv_free_tokens` overstates what a single request can use; see
     /// [`NodeLoad`]'s aggregate-semantics docs).
     pub fn load(&self) -> NodeLoad {
-        self.fleet.aggregate_load()
+        let seed = NodeLoad { min_kv_free_tokens: u64::MAX, ..NodeLoad::default() };
+        self.slots.iter().filter_map(|s| s.node.as_ref()).map(SimNode::load).fold(seed, |acc, l| {
+            NodeLoad {
+                outstanding_tokens: acc.outstanding_tokens + l.outstanding_tokens,
+                queued_prefill_tokens: acc.queued_prefill_tokens + l.queued_prefill_tokens,
+                kv_free_tokens: acc.kv_free_tokens + l.kv_free_tokens,
+                min_kv_free_tokens: acc.min_kv_free_tokens.min(l.min_kv_free_tokens),
+                prefill_tokens_per_sec: acc.prefill_tokens_per_sec + l.prefill_tokens_per_sec,
+            }
+        })
     }
 
-    /// Finalizes an incremental run: merges per-node reports (retired
-    /// replicas included) and attaches the accumulated decision trail,
-    /// load samples and replica lifecycle timeline (all reset).
+    /// Finalizes an incremental run: merges retired and live per-node
+    /// reports and attaches the accumulated decision trail, load samples
+    /// and replica lifecycle timeline (all reset). With faults attached,
+    /// every record whose `arrival` was rewritten (dispatch clamp or
+    /// retry redelivery) is patched back to its true arrival *before*
+    /// the merge replays it into the latency metrics, so TTFT and E2E
+    /// count the backoff the user actually waited; terminal failures
+    /// ride along via [`EngineReport::failed`].
     pub fn take_report(&mut self) -> EngineReport {
-        self.fleet.take_report()
+        let mut merged = EngineReport::new(self.throughput_bin);
+        let origin = self.faults.as_mut().map(|f| std::mem::take(&mut f.origin_arrival));
+        let mut reports = std::mem::take(&mut self.retired);
+        for s in &mut self.slots {
+            if let Some(n) = s.node.as_mut() {
+                reports.push(n.take_report());
+            }
+        }
+        for mut report in reports {
+            if let Some(origin) = &origin {
+                for r in report.records_mut() {
+                    if let Some(&arrival) = origin.get(&r.request_id) {
+                        r.arrival = arrival;
+                    }
+                }
+            }
+            merged.merge(report);
+        }
+        if let Some(f) = self.faults.as_mut() {
+            merged.note_failures(std::mem::take(&mut f.failed));
+            f.attempts.clear();
+        }
+        merged.set_routing(
+            std::mem::take(&mut self.decisions),
+            std::mem::take(&mut self.load_series),
+        );
+        merged.set_fleet_timeline(std::mem::take(&mut self.timeline));
+        merged
     }
 
     /// Runs `trace` to completion: dispatch at arrival instants, then
@@ -1785,7 +1491,7 @@ impl<N: SimNode> ClusterSim<N> {
     /// Panics if the co-simulation fails to make progress (internal bug
     /// guard).
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        self.fleet.decisions.reserve(trace.len());
+        self.decisions.reserve(trace.len());
         for &req in trace.requests() {
             self.push_request(req);
         }
@@ -1797,27 +1503,18 @@ impl<N: SimNode> ClusterSim<N> {
         // or fail terminally — before the report is cut.
         let mut guard: u64 = 0;
         if self.spec {
-            if self.fleet.faults.is_none() {
-                while let Some(i) = self.earliest() {
-                    guard += 1;
-                    assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                    self.step_node(i);
-                }
-            } else {
-                while self.step_event() {
-                    guard += 1;
-                    assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                }
+            while self.step_event() {
+                guard += 1;
+                assert!(guard < 400_000_000, "cluster simulation failed to terminate");
             }
-        } else if self.fleet.faults.is_none() {
+        } else if self.faults.is_none() {
             self.step_window(WindowCap::Unbounded);
         } else {
             loop {
-                match self.fleet.next_timer_time() {
+                match self.next_timer_time() {
                     Some(tt) => {
                         self.step_window(WindowCap::Faulted(tt.as_secs()));
                         self.fire_timer();
-                        self.maybe_upgrade_calendar();
                         guard += 1;
                         assert!(guard < 400_000_000, "cluster simulation failed to terminate");
                     }
@@ -1860,17 +1557,34 @@ impl<N: SimNode> SimNode for ClusterSim<N> {
         ClusterSim::take_report(self)
     }
 
+    /// Salvages every unfinished request in the fleet — live nodes'
+    /// queues plus the fault-retry queue — so a faulted fleet nested as
+    /// a node inside a larger simulation loses nothing when *it* is
+    /// crashed.
     fn take_unfinished(&mut self) -> SalvagedWork {
-        let salvaged = self.fleet.take_unfinished_all();
-        for i in 0..self.fleet.slot_count() {
-            self.reschedule(i);
+        let mut salvaged = SalvagedWork::default();
+        for slot in &mut self.slots {
+            if let Some(n) = slot.node.as_mut() {
+                let part = n.take_unfinished();
+                salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
+                salvaged.requests.extend(part.requests);
+            }
         }
-        self.settle();
+        if let Some(f) = self.faults.as_mut() {
+            for p in f.pending.drain(..) {
+                salvaged.requests.push(p.req);
+            }
+            f.pending_tokens = 0;
+        }
         salvaged
     }
 
     fn set_slowdown(&mut self, factor: f64) {
-        self.fleet.set_slowdown_all(factor);
+        for slot in &mut self.slots {
+            if let Some(n) = slot.node.as_mut() {
+                n.set_slowdown(factor);
+            }
+        }
     }
 }
 
@@ -2254,32 +1968,30 @@ mod tests {
 
     #[test]
     fn retire_then_respawn_reuses_the_slot_and_matches_reference() {
-        // Regression (stale calendar entries): retiring a replica and
-        // later installing a new tenant in the same slot must neither
-        // resurrect the dead tenant's calendar entries nor shift live
-        // ones — the tenancy generation in the heap key tombstones them.
-        // A naive implementation that removes the node from the vector
-        // (shifting indices) or reuses the slot without bumping the
-        // generation diverges from the linear-rescan spec here.
+        // Regression (slot reuse): retiring a replica and later
+        // installing a new tenant in the same slot must not shift the
+        // other slots' indices. A naive implementation that removes the
+        // node from the vector (shifting indices) diverges from the
+        // spec's routing trail and records here.
         use crate::autoscale::AutoscaleConfig;
         use sp_metrics::ReplicaEventKind;
         let config =
             AutoscaleConfig { cold_start: Dur::from_secs(1.0), min_replicas: 1, max_replicas: 2 };
         let script = || vec![(5.0, ScaleAction::Drain { replica: 1 }), (15.0, ScaleAction::Spawn)];
         let trace = steady_trace(60, 0.5);
-        let heap = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
+        let fast = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
             .with_autoscaler(scripted_scaler(config, script()))
             .run(&trace);
         let reference = spec_sim(engines(2), RoutingKind::JoinShortestOutstanding.policy())
             .with_autoscaler(scripted_scaler(config, script()))
             .run(&trace);
 
-        assert_eq!(heap.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&heap), record_bits(&reference));
+        assert_eq!(fast.routing_decisions(), reference.routing_decisions());
+        assert_eq!(record_bits(&fast), record_bits(&reference));
 
         // The respawn reused slot 1: two Spawned events on the same
         // stable replica index, one Retired between them.
-        let slot1: Vec<ReplicaEventKind> = heap
+        let slot1: Vec<ReplicaEventKind> = fast
             .fleet_timeline()
             .events()
             .iter()
@@ -2329,6 +2041,49 @@ mod tests {
 
     fn crash_at(at: f64, replica: usize) -> FaultEvent {
         FaultEvent { at: SimTime::from_secs(at), fault: Fault::Crash { replica } }
+    }
+
+    #[test]
+    fn timer_tied_with_a_node_event_fires_first_on_every_loop() {
+        // A fault timer due at exactly a node event's instant fires
+        // first. The windows get this by construction (they step events
+        // strictly below the timer), so the spec and the per-event
+        // `step_once` loop must resolve the tie the same way.
+        let trace = steady_trace(20, 0.25);
+        let mut probe = spec_sim(engines(2), RoutingKind::JoinShortestOutstanding.policy());
+        probe.push_request(trace.requests()[0]);
+        let mut instants = Vec::new();
+        while instants.len() < 3 {
+            let t = probe.next_event_of(0).expect("replica 0 holds request 0");
+            instants.push(t);
+            probe.step_once();
+        }
+        let tie = instants[2];
+        assert!(tie.as_secs() < trace.requests()[1].arrival.as_secs());
+        let plan =
+            || FaultPlan::new(vec![FaultEvent { at: tie, fault: Fault::Crash { replica: 0 } }]);
+        let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.5) };
+        let build = || {
+            ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
+                .with_faults(plan(), retry)
+        };
+
+        let windowed = build().run(&trace);
+        let mut spec = build();
+        spec.set_spec(true);
+        let spec = spec.run(&trace);
+        let mut per_event = build();
+        for &r in trace.requests() {
+            per_event.push_request(r);
+        }
+        while per_event.next_event_time().is_some() {
+            per_event.step_once();
+        }
+        let per_event = per_event.take_report();
+
+        assert_eq!(windowed.fleet_timeline().crash_count(), 1);
+        assert_eq!(windowed.canonical(), spec.canonical());
+        assert_eq!(windowed.canonical(), per_event.canonical());
     }
 
     #[test]
@@ -2542,23 +2297,23 @@ mod tests {
         };
         let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.5) };
         let trace = steady_trace(60, 0.25);
-        let heap = ClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
+        let fast = ClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
             .with_faults(plan(), retry)
             .run(&trace);
         let reference = spec_sim(engines(3), RoutingKind::JoinShortestOutstanding.policy())
             .with_faults(plan(), retry)
             .run(&trace);
 
-        assert_eq!(heap.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&heap), record_bits(&reference));
-        assert_eq!(heap.failed(), reference.failed());
+        assert_eq!(fast.routing_decisions(), reference.routing_decisions());
+        assert_eq!(record_bits(&fast), record_bits(&reference));
+        assert_eq!(fast.failed(), reference.failed());
         assert_eq!(
-            heap.fleet_timeline().request_faults(),
+            fast.fleet_timeline().request_faults(),
             reference.fleet_timeline().request_faults()
         );
-        assert_eq!(heap.fleet_timeline().crash_count(), 2);
+        assert_eq!(fast.fleet_timeline().crash_count(), 2);
         // Conservation: completed + failed covers the whole trace.
-        assert_eq!(heap.records().len() + heap.failed().len(), 60);
+        assert_eq!(fast.records().len() + fast.failed().len(), 60);
     }
 
     #[test]

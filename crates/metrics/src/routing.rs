@@ -292,8 +292,8 @@ pub struct ReplicaEvent {
 /// ```
 /// The canonical total order for merging same-window fleet events back
 /// into the global event order: ascending instant (`total_cmp`, so NaN
-/// sorts last — the same order the event calendar uses) with ties
-/// broken by replica slot index, matching the calendar's
+/// sorts last — the same order the per-event cluster loop uses) with
+/// ties broken by replica slot index, matching that loop's
 /// lowest-slot-first tie-break. Horizon-parallel simulations sort
 /// concurrently-collected per-replica events with this order before
 /// folding them into reports, which is what keeps merged reports
@@ -510,7 +510,7 @@ mod tests {
             vec![(0.5, 9), (1.0, 1), (1.0, 3), (2.0, 0)]
         );
         // Positive NaN (total_cmp) sorts after every finite instant,
-        // matching the event calendar's key order.
+        // matching the per-event cluster loop's order.
         let nan = SimTime::from_secs(0.0) + Dur::from_secs(1.0) * f64::NAN;
         assert!(window_event_order(&(t(1e12), 7), &(nan, 0)).is_lt());
     }

@@ -5,10 +5,10 @@
 //! with the `StaticSplit` policy must be *observationally identical* to
 //! the offline path (split the trace up front with the greedy splitter
 //! below, run each shard on an isolated engine) — same per-request
-//! records, same rejections — and every fast path (event calendar,
-//! horizon-parallel windows, indexed admission) must stay byte-identical
-//! to the executable spec (`ClusterSim::set_spec` over
-//! `Engine::set_spec` engines).
+//! records, same rejections — and every fast path (horizon-parallel
+//! windows, macro-steps, indexed admission) must stay byte-identical to
+//! the executable spec (`ClusterSim::set_spec` over `Engine::set_spec`
+//! engines).
 
 use proptest::prelude::*;
 use shift_parallelism::prelude::*;
@@ -197,13 +197,16 @@ proptest! {
         prop_assert_eq!(format!("{:?}", a.records()), format!("{:?}", b.records()));
     }
 
-    /// The event-calendar loop is an *optimization*, never a behavior
-    /// change: over randomized traces and randomized push/step
-    /// interleavings, `ClusterSim` (binary-heap dispatch, indexed EDF
-    /// admission, incremental load counters) must stay in lockstep with
-    /// the spec (the linear-rescan per-event loop over spec engines) —
-    /// same next-event instant at every step, and byte-identical reports
-    /// at the end.
+    /// Push/step interleavings of fast engines against the spec: over
+    /// randomized traces and randomized interleavings of
+    /// `push_request` (whose advance runs horizon windows) and per-event
+    /// `step_once`, a default `ClusterSim` over fast engines (indexed
+    /// EDF admission, incremental load counters, macro-steps) must stay
+    /// in lockstep with the spec (the per-event loop over spec engines)
+    /// — same next-event instant at every step, and byte-identical
+    /// reports at the end. Both sides find per-event steps with the
+    /// same linear rescan, so what this pins is the engines and the
+    /// windows between pushes.
     #[test]
     fn event_calendar_matches_reference_loop(
         trace in arb_trace(),
@@ -283,14 +286,13 @@ proptest! {
         );
     }
 
-    /// The calendar/spec byte-identity property *with live scale
-    /// events*: a load-band autoscaler spawns (with cold start) and
-    /// drains replicas mid-trace on both simulations, which share the
-    /// lifecycle core but find the next event differently (heap vs
-    /// linear rescan). Tombstoned generations in the heap key must keep
-    /// retire-then-respawn slot reuse invisible: same next-event instant
-    /// at every step, byte-identical reports and lifecycle timelines at
-    /// the end.
+    /// The push/step interleaving property *with live scale events*:
+    /// a load-band autoscaler spawns (with cold start) and drains
+    /// replicas mid-trace on both simulations, so fast engines stepped
+    /// through windows and per-event steps must keep retire-then-respawn
+    /// slot reuse invisible against the spec: same next-event instant at
+    /// every step, byte-identical reports and lifecycle timelines at the
+    /// end.
     #[test]
     fn event_calendar_matches_reference_loop_with_scale_events(
         trace in arb_dense_trace(),
@@ -521,13 +523,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The calendar/spec byte-identity property *under fault
-    /// injection*: both simulations consume the same `FaultPlan` through
-    /// their shared fleet core, so crashes (gen-bumped slots, salvaged
-    /// work), retry timers, slowdown windows, and route timeouts must
-    /// leave the heap loop and the linear rescan in lockstep — same
-    /// next-event instant at every step, byte-identical reports, fault
-    /// trails, and failure lists at the end.
+    /// The push/step interleaving property *under fault injection*:
+    /// both simulations consume the same `FaultPlan`, so crashes (freed
+    /// slots, salvaged work), retry timers, slowdown windows, and route
+    /// timeouts must leave fast engines under windows and per-event
+    /// steps in lockstep with the spec — same next-event instant at
+    /// every step, byte-identical reports, fault trails, and failure
+    /// lists at the end.
     #[test]
     fn event_calendar_matches_reference_loop_under_faults(
         trace in arb_trace(),
@@ -602,9 +604,8 @@ proptest! {
     /// stepping between coordination events, merged in slot order) is
     /// byte-identical to the spec's per-event loop for every thread
     /// count — same decision trail, bit-exact records, same timelines.
-    /// `n = 12` cases cross the linear-scan threshold, so the windowed
-    /// engine runs over both calendar representations (linear rescan
-    /// and heap).
+    /// `n = 12` cases give each window more slots than the widest fan-out
+    /// has threads.
     #[test]
     fn horizon_parallel_matches_sequential_calendar(
         trace in arb_trace(),
@@ -713,12 +714,12 @@ impl SimNode for StubNode {
 }
 
 /// Regression: a node reporting a NaN next-event time must not panic the
-/// dispatch loop. The pre-calendar `earliest()` compared instants with
+/// dispatch loop. An early `earliest()` compared instants with
 /// `partial_cmp(..).expect("simulated clocks are finite")`, which panicked
-/// the moment a NaN met another node's time; the calendar orders keys
-/// with `f64::total_cmp`, under which NaN sorts after every finite
-/// instant (and after infinity), so the pathological node simply goes
-/// last.
+/// the moment a NaN met another node's time; the rescan now orders
+/// instants with `f64::total_cmp`, under which NaN sorts after every
+/// finite instant (and after infinity), so the pathological node simply
+/// goes last.
 #[test]
 fn nan_next_event_time_is_ordered_not_a_panic() {
     // `SimTime::from_secs` rejects NaN, but arithmetic does not validate
