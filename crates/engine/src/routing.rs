@@ -1265,33 +1265,38 @@ impl<N: SimNode> ClusterSim<N> {
         }
     }
 
-    /// Runs one horizon window: steps every pending slot up to `cap`
-    /// (concurrently when `threads > 1`), then merges the per-slot
-    /// results back into the global order — drained-dry draining slots
-    /// retire sorted by (instant, slot), exactly the order the
-    /// sequential loop would have retired them in, and the fault clock
-    /// advances to the max stepped instant. Returns whether a NaN-keyed
-    /// event aborted a [`WindowCap::FaultFree`] window.
+    /// Runs one horizon window: steps every slot due before `cap`
+    /// (concurrently when `threads > 1` and two or more are due), then
+    /// merges the per-slot results back into the global order —
+    /// drained-dry draining slots retire sorted by (instant, slot),
+    /// exactly the order the sequential loop would have retired them
+    /// in, and the fault clock advances to the max stepped instant.
+    /// Returns whether a NaN-keyed event aborted a
+    /// [`WindowCap::FaultFree`] window.
     fn step_window(&mut self, cap: WindowCap) -> bool {
-        let mut outcomes = std::mem::take(&mut self.window_outcomes);
-        outcomes.clear();
-        let mut saw_nan = false;
-        if self.threads <= 1 {
-            for i in 0..self.slots.len() {
-                let Some(node) = self.slots[i].node.as_mut() else { continue };
-                let (outcome, nan) = step_slot(node, cap);
-                saw_nan |= nan;
-                if let Some(mut o) = outcome {
-                    o.slot = i;
-                    outcomes.push(o);
+        // Only slots with an event before the cap fan out: `step_slot`
+        // on any other slot returns at its first `next_event_time`, so
+        // the filter is exact. NaN-keyed slots stay in, so a `FaultFree`
+        // window still sees them and aborts. A window with at most one
+        // due slot runs inline and never touches the pool.
+        let mut pending = std::mem::take(&mut self.window_pending);
+        pending.clear();
+        pending.extend((0..self.slots.len()).filter(|&i| {
+            self.next_event_of(i).is_some_and(|t| match cap {
+                WindowCap::Unbounded => true,
+                WindowCap::FaultFree(c) | WindowCap::Faulted(c) => {
+                    t.as_secs() < c || t.as_secs().is_nan()
                 }
-            }
-        } else {
-            let mut pending = std::mem::take(&mut self.window_pending);
-            pending.clear();
-            pending.extend((0..self.slots.len()).filter(|&i| self.next_event_of(i).is_some()));
-            let base = SlotsPtr(self.slots.as_mut_ptr());
-            let mut results = std::mem::take(&mut self.window_results);
+            })
+        }));
+        let base = SlotsPtr(self.slots.as_mut_ptr());
+        let mut results = std::mem::take(&mut self.window_results);
+        {
+            let _fan_out = if self.threads > 1 && pending.len() > 1 {
+                sp_core::profile::start(sp_core::profile::Phase::FanOut)
+            } else {
+                None
+            };
             sp_core::map_into(
                 self.threads,
                 &pending,
@@ -1313,16 +1318,19 @@ impl<N: SimNode> ClusterSim<N> {
                 },
                 &mut results,
             );
-            for (&i, &(outcome, nan)) in pending.iter().zip(&results) {
-                saw_nan |= nan;
-                if let Some(mut o) = outcome {
-                    o.slot = i;
-                    outcomes.push(o);
-                }
-            }
-            self.window_results = results;
-            self.window_pending = pending;
         }
+        let mut outcomes = std::mem::take(&mut self.window_outcomes);
+        outcomes.clear();
+        let mut saw_nan = false;
+        for (&i, &(outcome, nan)) in pending.iter().zip(&results) {
+            saw_nan |= nan;
+            if let Some(mut o) = outcome {
+                o.slot = i;
+                outcomes.push(o);
+            }
+        }
+        self.window_results = results;
+        self.window_pending = pending;
 
         // Merge: fault clock first (retires and timer clamps read it),
         // then retires in (instant, slot) order — the global order the

@@ -1,8 +1,8 @@
 //! Opt-in per-phase wall-clock profiling (`SP_PROFILE=1`).
 //!
 //! The simulator's hot loop has a handful of broad phases — batch
-//! build, iteration pricing, window merge, admission scans, and
-//! shape-stable window detection — and knowing
+//! build, iteration pricing, window merge, admission scans,
+//! shape-stable window detection and pool fan-out — and knowing
 //! where wall time goes is the first question of every perf PR. Setting
 //! `SP_PROFILE=1` makes the instrumented call sites accumulate
 //! wall-clock nanoseconds per phase into process-wide atomics;
@@ -25,7 +25,9 @@ use std::time::Instant;
 pub enum Phase {
     /// `Engine::build_batch`: decode scan + chunked-prefill packing.
     BatchBuild,
-    /// `Engine::price_iteration`: plan evaluation / memo traffic.
+    /// Iteration pricing (`Engine::price_base` and the closed-form
+    /// decode-run pricer): compiled-plan evaluation, or the direct
+    /// `try_iteration` walk in spec mode.
     Pricing,
     /// Horizon-window merge: outcome folds and retires.
     Merge,
@@ -34,10 +36,16 @@ pub enum Phase {
     /// `Engine::step_run` shape-stable window detection: composition
     /// scan + admission-gate validity check.
     WindowDetect,
+    /// Horizon-window fan-out: the `map_into` call of a window that
+    /// goes to the pool (width > 1 and at least two slots due). Against
+    /// `Merge`, which counts every window, its call count is the number
+    /// of windows that ran on the pool.
+    FanOut,
 }
 
-const PHASES: usize = 5;
-const NAMES: [&str; PHASES] = ["batch build", "pricing", "merge", "admission", "window detect"];
+const PHASES: usize = 6;
+const NAMES: [&str; PHASES] =
+    ["batch build", "pricing", "merge", "admission", "window detect", "fan-out"];
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);

@@ -796,6 +796,47 @@ fn nan_next_event_time_windowed_advance_matches_sequential() {
     assert_eq!(results[0], vec![0, 2, 4], "1.0 s node drains; NaN and 9.0 s nodes hold");
 }
 
+/// The due filter of a fault-free window keeps NaN-keyed slots: with
+/// no finite event left below the horizon, the sequential loop steps a
+/// NaN node (its key sorts last but `NaN >= horizon` is false), so the
+/// window must see it and fall back. A filter that dropped NaN-keyed
+/// slots would leave this NaN node unstepped.
+#[test]
+fn nan_keyed_slot_is_due_in_a_fault_free_window() {
+    let nan_time = SimTime::ZERO + Dur::from_secs(1.0) * f64::NAN;
+    let build = || {
+        vec![
+            StubNode { time: SimTime::from_secs(1.0), remaining: 3 },
+            StubNode { time: nan_time, remaining: 2 },
+        ]
+    };
+    let arrival = Request {
+        id: 0,
+        arrival: SimTime::from_secs(5.0),
+        input_tokens: 1,
+        output_tokens: 1,
+        class: RequestClass::Interactive,
+        cached_prefix: 0,
+        prefix_group: None,
+    };
+    let run = |threads: Option<usize>| {
+        let mut sim = ClusterSim::new(build(), RoutingKind::JoinShortestOutstanding.policy());
+        match threads {
+            None => sim.set_spec(true),
+            Some(t) => sim.set_threads(t),
+        }
+        sim.push_request(arrival);
+        let report = sim.take_report().canonical();
+        let remaining: Vec<u32> = sim.into_nodes().iter().map(|n| n.remaining).collect();
+        (remaining, report)
+    };
+    let spec = run(None);
+    assert_eq!(spec.0, vec![0, 0], "the spec steps the NaN node once the finite one drains");
+    for threads in [1usize, 2, 8] {
+        assert!(run(Some(threads)) == spec, "width {threads} diverged from the spec");
+    }
+}
+
 #[test]
 fn empty_trace_is_a_clean_noop() {
     let mut sim = ClusterSim::new(engines(2, 100_000), RoutingKind::default().policy());

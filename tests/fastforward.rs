@@ -318,12 +318,20 @@ fn crash_timer_mid_run_is_byte_identical() {
     assert_widths_match_spec(build, &trace, "crash timer mid-run");
 }
 
-/// An engine node that counts the events it advances through
-/// `SimNode::step_run` (macro-steps).
+/// An engine node that counts its `step_once` and `step_run` calls and
+/// the events it advances through `step_run` (macro-steps).
 #[derive(Debug)]
 struct Counting {
     engine: Engine,
+    once_calls: u64,
+    run_calls: u64,
     run_events: u64,
+}
+
+impl Counting {
+    fn new(engine: Engine) -> Counting {
+        Counting { engine, once_calls: 0, run_calls: 0, run_events: 0 }
+    }
 }
 
 impl SimNode for Counting {
@@ -332,6 +340,7 @@ impl SimNode for Counting {
     }
 
     fn step_once(&mut self) {
+        self.once_calls += 1;
         self.engine.step_once();
     }
 
@@ -352,6 +361,7 @@ impl SimNode for Counting {
     }
 
     fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
+        self.run_calls += 1;
         let run = self.engine.step_run(cap)?;
         self.run_events += run.events;
         Some(run)
@@ -361,8 +371,7 @@ impl SimNode for Counting {
 /// Runs `engines` as a single-threaded fast-path cluster and returns
 /// `(events advanced by step_run, report iterations)`.
 fn macro_stepped_share(engines: Vec<Engine>, trace: &Trace) -> (u64, u64) {
-    let nodes: Vec<Counting> =
-        engines.into_iter().map(|engine| Counting { engine, run_events: 0 }).collect();
+    let nodes: Vec<Counting> = engines.into_iter().map(Counting::new).collect();
     let mut sim =
         ClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy()).with_threads(1);
     let report = sim.run(trace);
@@ -398,4 +407,44 @@ fn step_run_engages_on_steady_decode_and_kv_bound_prefill() {
         run_events > 0,
         "KV-bound chunked prefill: step_run advanced {run_events} of {iterations} iterations"
     );
+}
+
+/// Horizon windows fan out only the slots due before the cap. That
+/// filter must be exact at the call level, not only in the report:
+/// every node sees the same `step_once` and `step_run` calls, and
+/// `step_run` advances the same events, at every width — including
+/// windows with no slot due, one slot due, or a staggered subset.
+#[test]
+fn due_slot_fan_out_makes_the_same_node_calls_at_every_width() {
+    // Staggered arrivals and lengths leave most windows with few due
+    // slots; the tail arrivals land while earlier bursts still decode.
+    let trace = Trace::with_ids(
+        (0..40)
+            .map(|i| {
+                let at = 0.002 * i as f64 + if i >= 32 { 1.5 } else { 0.0 };
+                request(i, at, 64 + 37 * (i as u32 % 5), 40 + 23 * (i as u32 % 7))
+            })
+            .collect(),
+    );
+    let counts = |threads: usize| {
+        let nodes: Vec<Counting> =
+            engines_ff(6, 1_000_000, false).into_iter().map(Counting::new).collect();
+        let mut sim = ClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy())
+            .with_threads(threads);
+        let report = sim.run(&trace);
+        assert_eq!(report.records().len(), trace.len());
+        let calls: Vec<(u64, u64, u64)> =
+            sim.into_nodes().iter().map(|n| (n.once_calls, n.run_calls, n.run_events)).collect();
+        (calls, report.canonical())
+    };
+    let (base, report) = counts(1);
+    assert!(
+        base.iter().any(|&(once, runs, _)| once > 0 && runs > 0),
+        "both step_once and step_run engaged"
+    );
+    for threads in [2, 8] {
+        let (calls, other) = counts(threads);
+        assert_eq!(calls, base, "per-node (step_once, step_run, run events) at width {threads}");
+        assert!(other == report, "report diverged at width {threads}");
+    }
 }
